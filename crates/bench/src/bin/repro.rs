@@ -1,7 +1,7 @@
 //! Figure-reproduction CLI.
 //!
 //! ```text
-//! repro [--quick|--full|--scale N] [--legacy-analysis] [--gen-mode legacy|batch]
+//! repro [--quick|--full|--scale N] [--gen-mode legacy|batch]
 //!       [--quiet] [--obs-json FILE] [--checkpoint FILE] [--resume FILE]
 //!       [--out DIR] <id>... | all
 //! repro --bench-json [--perf-baseline FILE] [--quick|--full|--scale N] [--out DIR]
@@ -26,10 +26,6 @@
 //! `--quiet` suppresses progress lines and the `[obs]` event echo;
 //! experiment findings and errors still print.
 //!
-//! `--legacy-analysis` re-runs fleet experiments on the original
-//! trace-materialising analysis path instead of the fused kernel — the
-//! escape hatch for bisecting or re-checking equivalence.
-//!
 //! `--gen-mode batch` switches trace *generation* to the counter-based
 //! batch pipeline (blockwise OU + vectorised composition, DESIGN.md §13).
 //! The batch fleet is statistically equivalent to the legacy fleet but
@@ -40,26 +36,28 @@
 //! checkpointed to `FILE` every few chunks (atomically, temp + rename),
 //! so a killed run can be continued with `--resume FILE`. The resume file
 //! is verified up front — envelope checksum, format version, and sweep
-//! fingerprint against this invocation's fleet/seed/analysis mode — and a
+//! fingerprint against this invocation's fleet/seed/generation mode — and a
 //! bad file exits with a distinct code (see [`rwc_bench::cli`]) instead
 //! of silently starting over. A resumed run reproduces the uninterrupted
 //! run's reports byte for byte. `--resume FILE` alone keeps writing
 //! updated checkpoints back to the same file.
 //!
 //! `--bench-json` times the scenario round engine (full-rebuild vs
-//! incremental, cold vs warm exact LP) and the fleet-analysis pipeline
-//! (fused vs legacy), writing `BENCH_scenario.json` and `BENCH_fleet.json`
-//! to the output directory. With `--perf-baseline FILE` it additionally
-//! exits non-zero when incremental rounds/sec or fused links/sec falls
-//! below half the committed baseline — the CI perf-smoke gate. Failure
+//! incremental, cold vs warm exact LP, the large-TE and objective-zoo
+//! stages) and the fleet-analysis pipeline, writing `BENCH_scenario.json`
+//! and `BENCH_fleet.json` to the output directory. With
+//! `--perf-baseline FILE` it additionally exits non-zero when a gated
+//! throughput (incremental rounds/sec, fused links/sec, large-TE and
+//! min-MLU drift rounds/sec, ...) falls below half the committed
+//! baseline — the CI perf-smoke gate. Failure
 //! classes map to stable exit codes, documented in [`rwc_bench::cli`].
 
 use rwc_bench::experiments::{self, CheckpointState};
 use rwc_bench::perf::PerfBaseline;
 use rwc_bench::{cli, Scale};
-use rwc_harness::{checkpoint, HarnessError, SweepFingerprint};
+use rwc_harness::{checkpoint, mode_label, HarnessError, SweepFingerprint};
 use rwc_obs::{ConsoleSink, MetricsObserver};
-use rwc_telemetry::{AnalysisMode, FleetGenerator, GenMode};
+use rwc_telemetry::{FleetGenerator, GenMode};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -79,7 +77,6 @@ fn main() -> ExitCode {
     let mut checkpoint_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut mode = AnalysisMode::Fused;
     let mut gen_mode = GenMode::Legacy;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -90,7 +87,6 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => scale = Scale::Scaled(n),
                 _ => return usage_error("--scale needs a positive integer fleet multiplier"),
             },
-            "--legacy-analysis" => mode = AnalysisMode::Legacy,
             "--gen-mode" => match args.next().and_then(|m| m.parse::<GenMode>().ok()) {
                 Some(m) => gen_mode = m,
                 None => return usage_error("--gen-mode needs 'legacy' or 'batch'"),
@@ -119,7 +115,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--quick|--full|--scale N] [--legacy-analysis] \
+                    "usage: repro [--quick|--full|--scale N] \
                      [--gen-mode legacy|batch] [--quiet] \
                      [--obs-json FILE] [--checkpoint FILE] [--resume FILE] [--out DIR] \
                      <id>... | all"
@@ -132,7 +128,6 @@ fn main() -> ExitCode {
         }
     }
     let sink = ConsoleSink::new(quiet);
-    experiments::set_analysis_mode(mode);
     experiments::set_gen_mode(gen_mode);
     if obs_path.is_some() {
         // Install before any experiment dispatches: every pipeline built
@@ -148,7 +143,7 @@ fn main() -> ExitCode {
     }
     if checkpoint_path.is_some() || resume_path.is_some() {
         if let Err(code) =
-            install_checkpoint_plan(checkpoint_path, resume_path, scale, mode, gen_mode, &sink)
+            install_checkpoint_plan(checkpoint_path, resume_path, scale, gen_mode, &sink)
         {
             return code;
         }
@@ -182,7 +177,7 @@ fn main() -> ExitCode {
 }
 
 /// Loads and verifies the `--resume` file (envelope checksum, format
-/// version, fingerprint against this invocation's fleet/seed/analysis
+/// version, fingerprint against this invocation's fleet/seed/generation
 /// mode) and installs the process-wide checkpoint plan. Failures map to
 /// the exit codes documented in [`cli`] — notably [`cli::EXIT_CHECKPOINT`]
 /// for corrupt, version-mismatched, or foreign checkpoints.
@@ -190,7 +185,6 @@ fn install_checkpoint_plan(
     checkpoint_path: Option<PathBuf>,
     resume_path: Option<PathBuf>,
     scale: Scale,
-    mode: AnalysisMode,
     gen_mode: GenMode,
     sink: &ConsoleSink,
 ) -> Result<(), ExitCode> {
@@ -203,23 +197,15 @@ fn install_checkpoint_plan(
             // Fail fast on a checkpoint from a different sweep, before any
             // experiment dispatches. Chunk size comes from the checkpoint
             // itself (resume replays the original chunk boundaries no
-            // matter the thread count), so only fleet size, seed, analysis
-            // mode and generation mode are pinned by this invocation. The
-            // labels match the executor's fingerprinting: legacy-generation
-            // labels keep their historical spelling so pre-batch
-            // checkpoints still resume.
+            // matter the thread count), so only fleet size, seed and
+            // generation mode are pinned by this invocation, labelled
+            // exactly as the executor fingerprints them.
             let fleet = scale.fleet();
             let expected = SweepFingerprint {
                 n_links: FleetGenerator::new(scale.fleet()).n_links() as u64,
                 chunk_size: cp.fingerprint.chunk_size,
                 seed: fleet.seed,
-                mode: match (mode, gen_mode) {
-                    (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-                    (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-                    (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-                    (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
-                }
-                .into(),
+                mode: mode_label(gen_mode).into(),
             };
             expected.verify(&cp.fingerprint).map_err(|e| {
                 sink.error(&format!("--resume {}: {e}", path.display()));
@@ -299,18 +285,10 @@ fn run_bench_json(
         perf.max_throughput_delta,
     ));
     if let Some(lt) = &perf.large_te {
-        let dense_arm = if lt.dense.rounds == 0 {
-            "dense skipped (topology beyond the tableau's reach)".to_string()
-        } else {
-            format!(
-                "dense {:.1} rounds/sec -> sparse at {:.1}x",
-                lt.dense.rounds_per_sec, lt.sparse_speedup
-            )
-        };
         sink.result(&format!(
             "large TE (scale x{}, {} links, {} commodities, LP {}x{}): \
              sparse {:.1} rounds/sec (p50 {} us / p99 {} us, \
-             {:.1} eta updates/refactor); {dense_arm}",
+             {:.1} eta updates/refactor)",
             lt.scale_factor,
             lt.links,
             lt.commodities,
@@ -324,31 +302,28 @@ fn run_bench_json(
     }
     if let Some(obj) = &perf.objectives {
         sink.result(&format!(
-            "objective zoo (mesh x{}, {} fake edges): {}/{} objectives solved, \
-             worst backend disagreement {:.2e}; min-MLU envelope {:.3} >= \
-             max single-TM {:.3}, drift warm hit rate {:.0}%, sparse {:.1}x dense",
+            "objective zoo (mesh x{}, {} fake edges): {}/{} objectives solved; \
+             min-MLU envelope {:.3} >= max single-TM {:.3}, drift {:.1} rounds/sec \
+             at warm hit rate {:.0}%",
             obj.scale_factor,
             obj.fake_edges,
             obj.arms.iter().filter(|a| a.solved).count(),
             obj.arms.len(),
-            obj.max_agreement_delta,
             obj.min_mlu.envelope_mlu,
             obj.min_mlu.max_single_tm_mlu,
+            obj.min_mlu.rounds_per_sec,
             100.0 * obj.min_mlu.warm_hit_rate,
-            obj.min_mlu.sparse_speedup,
         ));
     }
     let fleet = rwc_bench::perf::fleet_perf(scale);
     sink.result(&format!(
-        "fleet analysis ({} links, {} threads): legacy {:.1} links/sec -> fused {:.1} links/sec \
-         ({:.2}x, {:.1}x fewer allocated bytes, accumulators identical: {})",
+        "fleet analysis ({} links, {} threads): fused {:.1} links/sec, \
+         {:.2e} samples/sec, {} bytes allocated",
         fleet.fused.links,
         fleet.n_threads,
-        fleet.legacy.links_per_sec,
         fleet.fused.links_per_sec,
-        fleet.speedup,
-        fleet.alloc_ratio,
-        fleet.accumulators_identical,
+        fleet.fused.samples_per_sec,
+        fleet.fused.alloc_bytes,
     ));
     sink.result(&format!(
         "generation only ({} links, 1 thread): legacy {:.2e} samples/sec -> batch {:.2e} \

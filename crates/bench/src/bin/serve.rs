@@ -1,8 +1,7 @@
 //! `rwc-serve`: the sharded controller daemon as a process.
 //!
 //! ```text
-//! rwc-serve [--listen ADDR] [--quick|--full] [--legacy-analysis]
-//!           [--gen-mode legacy|batch]
+//! rwc-serve [--listen ADDR] [--quick|--full] [--gen-mode legacy|batch]
 //!           [--shards N] [--queue-capacity N] [--shed oldest|reject]
 //!           [--deadline-ms T] [--restart-budget N]
 //!           [--checkpoint-dir DIR] [--checkpoint-every N]
@@ -29,7 +28,7 @@ use rwc_obs::ConsoleSink;
 use rwc_serve::{
     Daemon, HttpServer, ServeCheckpointConfig, ServeConfig, ServeError, ShedPolicy,
 };
-use rwc_telemetry::{AnalysisMode, GenMode};
+use rwc_telemetry::GenMode;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -56,7 +55,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" => cfg.fleet = ServeConfig::small().fleet,
             "--full" => cfg.fleet = ServeConfig::paper().fleet,
-            "--legacy-analysis" => cfg.mode = AnalysisMode::Legacy,
             "--gen-mode" => match args.next().and_then(|m| m.parse::<GenMode>().ok()) {
                 Some(m) => cfg.gen_mode = m,
                 None => return usage_error("--gen-mode needs 'legacy' or 'batch'"),
@@ -113,7 +111,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: rwc-serve [--listen ADDR] [--quick|--full] [--legacy-analysis] \
+                    "usage: rwc-serve [--listen ADDR] [--quick|--full] \
                      [--gen-mode legacy|batch] \
                      [--shards N] [--queue-capacity N] [--shed oldest|reject] \
                      [--deadline-ms T] [--restart-budget N] [--checkpoint-dir DIR] \

@@ -62,13 +62,7 @@ fn spec<'a>(
     table: &'a ModulationTable,
     n_threads: usize,
 ) -> SweepSpec<'a> {
-    SweepSpec {
-        gen,
-        table,
-        mode: super::analysis_mode(),
-        n_threads,
-        collect_metrics: true,
-    }
+    SweepSpec { gen, table, n_threads, collect_metrics: true }
 }
 
 fn completed_bytes(outcome: SweepOutcome) -> (String, Option<String>) {
@@ -129,9 +123,8 @@ fn kill_resume_scenario(
     kill_threads: usize,
     resume_threads: usize,
 ) -> Result<Verdict, String> {
-    let path = std::env::temp_dir().join(format!(
-        "rwc_chaos_resume_{}_{kill_threads}_{resume_threads}.json",
-        std::process::id()
+    let path = rwc_harness::unique_temp_path(&format!(
+        "chaos_resume_{kill_threads}_{resume_threads}.json"
     ));
     let ckpt = CheckpointConfig { path: path.clone(), every_chunks: 1 };
     let plan = ChaosPlan::new(CAMPAIGN_SEED ^ 1).with_kill_after(2);
@@ -172,8 +165,7 @@ fn kill_resume_scenario(
 
 /// Scenario 4: every corruption of a real checkpoint file is rejected.
 fn corruption_scenario(gen: &FleetGenerator, table: &ModulationTable) -> Result<Verdict, String> {
-    let path =
-        std::env::temp_dir().join(format!("rwc_chaos_corrupt_{}.json", std::process::id()));
+    let path = rwc_harness::unique_temp_path("chaos_corrupt.json");
     let ckpt = CheckpointConfig { path: path.clone(), every_chunks: 1 };
     rwc_harness::run_fleet_sweep(&spec(gen, table, 2), &harness_cfg(Some(ckpt), None), None)
         .map_err(|e| format!("seed sweep failed: {e}"))?;

@@ -8,9 +8,7 @@
 
 use crate::{Report, Scale};
 use rwc_optics::{Modulation, ModulationTable};
-use rwc_telemetry::{
-    analysis::LinkAnalysis, AnalysisMode, FleetConfig, FleetKernel,
-};
+use rwc_telemetry::{analysis::LinkAnalysis, FleetConfig, FleetKernel};
 use rwc_util::stats::Summary;
 use std::fmt::Write as _;
 
@@ -40,17 +38,8 @@ fn high_quality_fiber(scale: Scale) -> Vec<LinkAnalysis> {
     }
     let gen = super::fleet_generator(cfg);
     let table = ModulationTable::paper_default();
-    match super::analysis_mode() {
-        AnalysisMode::Fused => {
-            let mut kernel = FleetKernel::with_observer(super::observer());
-            (0..gen.n_links())
-                .map(|i| kernel.analyze_generated(&gen, i, &table))
-                .collect()
-        }
-        AnalysisMode::Legacy => (0..gen.n_links())
-            .map(|i| LinkAnalysis::new(&gen.link(i).trace, &table))
-            .collect(),
-    }
+    let mut kernel = FleetKernel::with_observer(super::observer());
+    (0..gen.n_links()).map(|i| kernel.analyze_generated(&gen, i, &table)).collect()
 }
 
 /// Fig. 3a.

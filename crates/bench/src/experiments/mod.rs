@@ -23,16 +23,15 @@ use crate::{Report, Scale};
 use rwc_harness::{CheckpointConfig, ExecutorConfig, SweepCheckpoint};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetConfig, FleetGenerator, GenMode};
+use rwc_telemetry::{FleetAccumulator, FleetConfig, FleetGenerator, GenMode};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-static LEGACY_ANALYSIS: AtomicBool = AtomicBool::new(false);
 static BATCH_GEN: AtomicBool = AtomicBool::new(false);
 
 /// Process-wide observability sink for experiment runs, mirroring the
-/// [`set_analysis_mode`] pattern: `repro --obs-json` installs a
+/// [`set_gen_mode`] pattern: `repro --obs-json` installs a
 /// [`MetricsObserver`] before dispatching and every experiment routes the
 /// pipelines it builds through [`observer`]. Unset (the default), the
 /// shared [`rwc_obs::noop`] observer is handed out and the hot paths stay
@@ -66,23 +65,6 @@ pub fn registry() -> Option<&'static rwc_obs::MetricsRegistry> {
 /// is off.
 pub fn metrics() -> Option<MetricsSnapshot> {
     OBSERVER.get().map(|obs| obs.snapshot())
-}
-
-/// Selects the fleet-analysis path for every experiment in this process.
-/// Defaults to the fused kernel; the `repro --legacy-analysis` flag flips
-/// it back to the trace-materialising path for bisection and equivalence
-/// re-checks.
-pub fn set_analysis_mode(mode: AnalysisMode) {
-    LEGACY_ANALYSIS.store(mode == AnalysisMode::Legacy, Ordering::Relaxed);
-}
-
-/// The analysis path experiments should use.
-pub fn analysis_mode() -> AnalysisMode {
-    if LEGACY_ANALYSIS.load(Ordering::Relaxed) {
-        AnalysisMode::Legacy
-    } else {
-        AnalysisMode::Fused
-    }
 }
 
 /// Selects the trace-generation path for every experiment in this
@@ -159,7 +141,6 @@ pub(crate) fn fleet_sweep(gen: &FleetGenerator, table: &ModulationTable) -> Flee
         gen,
         table,
         crate::parallel::default_workers(),
-        analysis_mode(),
         registry(),
         &cfg,
         resume,

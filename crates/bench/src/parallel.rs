@@ -29,54 +29,40 @@ use rwc_harness::{
 };
 use rwc_obs::MetricsRegistry;
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 /// Analyses the whole fleet across `n_threads` workers pulling chunks
 /// from a shared queue, on the fused fast path. The merged result is
-/// identical to a sequential sweep for every thread count.
+/// identical to a sequential sweep for every thread count. Each worker
+/// owns one [`rwc_telemetry::FleetKernel`], so a sweep's steady-state
+/// allocations are `n_threads` sample buffers — not a trace per link.
 pub fn parallel_fleet_analysis(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
 ) -> FleetAccumulator {
-    parallel_fleet_analysis_with(gen, table, n_threads, AnalysisMode::Fused)
+    parallel_fleet_analysis_observed(gen, table, n_threads, None)
 }
 
-/// [`parallel_fleet_analysis`] with an explicit analysis path. Each worker
-/// owns one [`FleetKernel`], so on the fused path a sweep's steady-state
-/// allocations are `n_threads` sample buffers — not a trace per link.
-pub fn parallel_fleet_analysis_with(
-    gen: &FleetGenerator,
-    table: &ModulationTable,
-    n_threads: usize,
-    mode: AnalysisMode,
-) -> FleetAccumulator {
-    parallel_fleet_analysis_observed(gen, table, n_threads, mode, None)
-}
-
-/// [`parallel_fleet_analysis_with`] with observability: each worker owns a
+/// [`parallel_fleet_analysis`] with observability: each worker owns a
 /// private [`MetricsObserver`] wired into its [`FleetKernel`] (no shared
 /// atomics on the per-sample hot path), and the per-worker snapshots are
 /// absorbed into `registry` once the pool drains. Counter and histogram-
 /// bucket addition commute, so the merged metrics are identical to a
 /// sequential sweep's regardless of thread count or chunk scheduling —
-/// the same contract the accumulator merge already keeps. The legacy
-/// (trace-materialising) path predates the kernel instrumentation and
-/// publishes nothing.
+/// the same contract the accumulator merge already keeps.
 pub fn parallel_fleet_analysis_observed(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
-    mode: AnalysisMode,
     registry: Option<&MetricsRegistry>,
 ) -> FleetAccumulator {
     match parallel_fleet_analysis_hardened(
         gen,
         table,
         n_threads,
-        mode,
         registry,
         &ExecutorConfig::default(),
         None,
@@ -103,7 +89,6 @@ pub fn parallel_fleet_analysis_hardened(
     gen: &FleetGenerator,
     table: &ModulationTable,
     n_threads: usize,
-    mode: AnalysisMode,
     registry: Option<&MetricsRegistry>,
     cfg: &ExecutorConfig,
     resume: Option<&SweepCheckpoint>,
@@ -113,13 +98,7 @@ pub fn parallel_fleet_analysis_hardened(
         cfg.chaos.as_ref().is_none_or(|p| p.kill_after_chunks.is_none()),
         "kill plans belong to the chaos experiment, not the bench sweep"
     );
-    let spec = SweepSpec {
-        gen,
-        table,
-        mode,
-        n_threads,
-        collect_metrics: registry.is_some(),
-    };
+    let spec = SweepSpec { gen, table, n_threads, collect_metrics: registry.is_some() };
     match rwc_harness::run_fleet_sweep(&spec, cfg, resume)? {
         SweepOutcome::Completed(result) => {
             if let (Some(registry), Some(metrics)) = (registry, &result.metrics) {
@@ -249,13 +228,7 @@ mod tests {
         let seq_metrics = seq_obs.snapshot().to_json();
         for threads in [1, 2, 5] {
             let registry = MetricsRegistry::new();
-            let acc = parallel_fleet_analysis_observed(
-                &gen,
-                &table,
-                threads,
-                AnalysisMode::Fused,
-                Some(&registry),
-            );
+            let acc = parallel_fleet_analysis_observed(&gen, &table, threads, Some(&registry));
             assert_eq!(
                 serde_json::to_string(&acc).unwrap(),
                 serde_json::to_string(&seq_acc).unwrap(),
@@ -270,15 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_legacy_modes_are_byte_identical() {
+    fn parallel_sweep_matches_reference_analysis() {
         let gen = small();
         let table = ModulationTable::paper_default();
-        let fused = parallel_fleet_analysis_with(&gen, &table, 3, AnalysisMode::Fused);
-        let legacy = parallel_fleet_analysis_with(&gen, &table, 3, AnalysisMode::Legacy);
+        let fused = parallel_fleet_analysis(&gen, &table, 3);
+        let reference = gen.reference_fleet_analysis(&table);
         assert_eq!(
             serde_json::to_string(&fused).expect("accumulator serializes"),
-            serde_json::to_string(&legacy).expect("accumulator serializes"),
-            "fused parallel sweep diverged from the legacy path"
+            serde_json::to_string(&reference).expect("accumulator serializes"),
+            "fused parallel sweep diverged from the reference path"
         );
     }
 
@@ -291,13 +264,7 @@ mod tests {
         let gen = small();
         let table = ModulationTable::paper_default();
         let clean_registry = MetricsRegistry::new();
-        let clean = parallel_fleet_analysis_observed(
-            &gen,
-            &table,
-            3,
-            AnalysisMode::Fused,
-            Some(&clean_registry),
-        );
+        let clean = parallel_fleet_analysis_observed(&gen, &table, 3, Some(&clean_registry));
         let chaotic_registry = MetricsRegistry::new();
         let cfg = ExecutorConfig {
             chaos: Some(rwc_harness::ChaosPlan::new(42).with_panic_chunk(0).with_panic_chunk(3)),
@@ -307,7 +274,6 @@ mod tests {
             &gen,
             &table,
             3,
-            AnalysisMode::Fused,
             Some(&chaotic_registry),
             &cfg,
             None,
@@ -329,15 +295,7 @@ mod tests {
             chaos: Some(rwc_harness::ChaosPlan::new(1).with_panic_chunk(2).with_poison_attempts(9)),
             ..ExecutorConfig::default()
         };
-        match parallel_fleet_analysis_hardened(
-            &gen,
-            &table,
-            2,
-            AnalysisMode::Fused,
-            None,
-            &cfg,
-            None,
-        ) {
+        match parallel_fleet_analysis_hardened(&gen, &table, 2, None, &cfg, None) {
             Err(HarnessError::ChunkFailed { chunk, .. }) => assert_eq!(chunk, 2),
             other => panic!("expected ChunkFailed, got {other:?}"),
         }

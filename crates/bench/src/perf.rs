@@ -22,7 +22,6 @@
 
 use crate::Scale;
 use rwc_core::scenario::{Scenario, ScenarioConfig, ScenarioReport, ScenarioTiming};
-use rwc_lp::LpBackend;
 use rwc_te::demand::{DemandMatrix, Priority};
 use rwc_te::problem::TeProblem;
 use rwc_te::swan::SwanTe;
@@ -94,18 +93,17 @@ pub struct ScenarioPerf {
     /// the exact arms — bounded by LP tolerance, not zero, because warm
     /// and cold may land on different optimal vertices.
     pub max_throughput_delta: f64,
-    /// Large-topology TE stage: both LP backends on a `--scale`-multiplied
-    /// replicated mesh. `Option` so baselines from before the sparse
-    /// backend still parse (the shim reads a missing field as `None`).
+    /// Large-topology TE stage: the sparse LP on a `--scale`-multiplied
+    /// replicated mesh. `Option` so baselines from before the stage
+    /// existed still parse (the shim reads a missing field as `None`).
     pub large_te: Option<LargeTePerf>,
     /// Objective-zoo stage: every [`TeObjective`] solved on the augmented
-    /// scaled mesh by both LP backends, plus the min-MLU envelope/drift
-    /// sub-stage. `Option` for the same baseline-compatibility reason as
-    /// `large_te`.
+    /// scaled mesh, plus the min-MLU envelope/drift sub-stage. `Option`
+    /// for the same baseline-compatibility reason as `large_te`.
     pub objectives: Option<ObjectivesPerf>,
 }
 
-/// One LP backend's arm of the [`LargeTePerf`] stage.
+/// The solve arm of the [`LargeTePerf`] stage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LargeTeArm {
     /// Drifted TE rounds solved.
@@ -120,11 +118,11 @@ pub struct LargeTeArm {
     pub total_solve_micros: u64,
 }
 
-/// The `large_te` stage of `BENCH_scenario.json`: the same drifting
-/// sequence of exact TE rounds on a replicated-mesh topology
-/// ([`builders::scaled_mesh`]), solved once per LP backend. This is where
-/// the sparse revised simplex earns its keep — the CI gate asserts
-/// `sparse_speedup >= 5` at the smoke scale.
+/// The `large_te` stage of `BENCH_scenario.json`: a drifting sequence of
+/// exact TE rounds on a replicated-mesh topology
+/// ([`builders::scaled_mesh`]), solved by one warm-started [`TeSolver`].
+/// The perf gate floors `sparse.rounds_per_sec` at half the committed
+/// baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LargeTePerf {
     /// Mesh replication factor used for this run.
@@ -138,14 +136,10 @@ pub struct LargeTePerf {
     /// Constraint rows of the lowered sparse LP (capacities are bounds
     /// for single-commodity programs and rows otherwise).
     pub lp_rows: u64,
-    /// Sparse revised-simplex backend.
+    /// The sparse revised-simplex solve arm.
     pub sparse: LargeTeArm,
-    /// Dense tableau backend (the escape hatch).
-    pub dense: LargeTeArm,
-    /// `sparse.rounds_per_sec / dense.rounds_per_sec`.
-    pub sparse_speedup: f64,
-    /// Mean product-form eta updates between basis refactorisations in
-    /// the sparse arm — the refactorisation-policy health metric.
+    /// Mean product-form eta updates between basis refactorisations —
+    /// the refactorisation-policy health metric.
     pub eta_updates_per_refactor: f64,
 }
 
@@ -157,8 +151,8 @@ fn percentile_micros(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn large_te_arm(rounds: &[TeProblem], backend: LpBackend) -> (LargeTeArm, rwc_lp::SolverStats) {
-    let te = TeSolver::builder().backend(backend).build().expect("default TE solver");
+fn large_te_arm(rounds: &[TeProblem]) -> (LargeTeArm, rwc_lp::SolverStats) {
+    let te = TeSolver::default();
     let mut micros: Vec<u64> = Vec::with_capacity(rounds.len());
     for p in rounds {
         let t0 = Instant::now();
@@ -178,10 +172,9 @@ fn large_te_arm(rounds: &[TeProblem], backend: LpBackend) -> (LargeTeArm, rwc_lp
     (arm, te.warm_stats().unwrap_or_default())
 }
 
-/// Runs the large-topology TE stage: a replicated mesh at the scale's
+/// The large-topology TE instance: a replicated mesh at the scale's
 /// replication factor, one cross-replica commodity per replica plus an
-/// end-to-end long haul, capacities drifting every round — solved by the
-/// sparse backend and then the dense escape hatch on identical inputs.
+/// end-to-end long haul.
 fn large_te_instance(factor: usize) -> (WanTopology, DemandMatrix) {
     let wan = builders::scaled_mesh(factor, 500.0);
     let pick = |name: String| wan.node_by_name(&name).expect("scaled mesh site");
@@ -206,6 +199,8 @@ fn large_te_instance(factor: usize) -> (WanTopology, DemandMatrix) {
     (wan, dm)
 }
 
+/// Runs the large-topology TE stage: [`large_te_instance`] with its
+/// capacities drifting every round.
 pub fn large_te_perf(scale: Scale) -> LargeTePerf {
     let factor = match scale {
         Scale::Quick => 6,
@@ -219,8 +214,7 @@ pub fn large_te_perf(scale: Scale) -> LargeTePerf {
         .map(|round| {
             let mut p = base.clone();
             for l in 0..wan.n_links() {
-                // Deterministic ±9% capacity drift, same pattern for both
-                // backends.
+                // Deterministic ±9% capacity drift.
                 let phase = (round * (l + 3)) % 7;
                 let factor = 0.91 + 0.03 * phase as f64;
                 p.override_link_capacity(LinkId(l), wan.link(LinkId(l)).capacity().value() * factor);
@@ -232,60 +226,36 @@ pub fn large_te_perf(scale: Scale) -> LargeTePerf {
         .lower(&base)
         .expect("max-throughput lowering is always valid")
         .sparse_lp();
-    let (sparse, sparse_stats) = large_te_arm(&rounds, LpBackend::Sparse);
-    // The dense tableau grows as rows × (cols + rows) with O(rows · cols)
-    // work per pivot: beyond this factor it needs minutes per round (and
-    // gigabytes at --scale 300), which is the regime this stage exists to
-    // show the sparse backend escaping. Skip it rather than hang the
-    // digest; a zeroed arm (rounds == 0) marks the skip in the JSON.
-    const DENSE_ARM_MAX_FACTOR: usize = 16;
-    let dense = if factor <= DENSE_ARM_MAX_FACTOR {
-        large_te_arm(&rounds, LpBackend::Dense).0
-    } else {
-        LargeTeArm {
-            rounds: 0,
-            rounds_per_sec: 0.0,
-            solve_p50_micros: 0,
-            solve_p99_micros: 0,
-            total_solve_micros: 0,
-        }
-    };
-    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+    let (sparse, sparse_stats) = large_te_arm(&rounds);
     LargeTePerf {
         scale_factor: factor as u64,
         links: base.net.n_edges() as u64,
         commodities: base.commodities.len() as u64,
         lp_cols: lowered.n_vars() as u64,
         lp_rows: lowered.n_rows() as u64,
-        sparse_speedup: ratio(sparse.rounds_per_sec, dense.rounds_per_sec),
-        eta_updates_per_refactor: ratio(
-            sparse_stats.eta_updates as f64,
-            sparse_stats.refactorizations as f64,
-        ),
+        eta_updates_per_refactor: if sparse_stats.refactorizations == 0 {
+            0.0
+        } else {
+            sparse_stats.eta_updates as f64 / sparse_stats.refactorizations as f64
+        },
         sparse,
-        dense,
     }
 }
 
-/// One objective's arm of the [`ObjectivesPerf`] stage: the same lowered
-/// problem solved by both LP backends, compared on the objective's
-/// headline value (total throughput, MLU, or the concurrency factor λ).
+/// One objective's arm of the [`ObjectivesPerf`] stage: the lowered
+/// problem solved once, reported by the objective's headline value (total
+/// throughput, MLU, or the concurrency factor λ). Agreement with the
+/// dense reference is the `backends_agree_on_every_objective` test's job.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectiveArm {
     /// The formulation's algorithm name (e.g. `"exact-lp:min-mlu"`).
     pub objective: String,
-    /// Whether both backends reached optimality.
+    /// Whether the solve reached optimality.
     pub solved: bool,
     /// Headline value from the sparse revised simplex.
     pub sparse_headline: f64,
-    /// Headline value from the dense tableau.
-    pub dense_headline: f64,
-    /// `|sparse_headline - dense_headline|` — gated at 1e-6 in CI.
-    pub agreement_delta: f64,
-    /// Sparse-backend solve time, microseconds.
+    /// Solve time, microseconds.
     pub sparse_solve_micros: u64,
-    /// Dense-backend solve time, microseconds.
-    pub dense_solve_micros: u64,
 }
 
 /// The min-MLU sub-stage: envelope dominance plus warm-start behaviour
@@ -299,22 +269,23 @@ pub struct MinMluPerf {
     /// Must be `<= envelope_mlu + 1e-6`: routing that works for every
     /// matrix at once can never beat routing tuned to one matrix.
     pub max_single_tm_mlu: f64,
-    /// Drift rounds solved by each backend.
+    /// Drift rounds solved.
     pub rounds: u64,
-    /// Warm starts attempted by the sparse arm across the drift rounds.
+    /// Drift rounds per second of solve time — gated at half the
+    /// committed baseline.
+    pub rounds_per_sec: f64,
+    /// Warm starts attempted across the drift rounds.
     pub warm_attempts: u64,
     /// Warm starts that reached optimality without a cold fallback.
     pub warm_hits: u64,
     /// `warm_hits / warm_attempts` in `[0, 1]`.
     pub warm_hit_rate: f64,
-    /// Dense total drift time / sparse total drift time.
-    pub sparse_speedup: f64,
 }
 
 /// The `objectives` stage of `BENCH_scenario.json`: the whole
 /// [`TeObjective`] zoo on one augmented scaled-mesh instance (fake
 /// upgrade edges included, so the unsplittable gadget and the reduction
-/// readout have real work to do), each objective solved by both backends.
+/// readout have real work to do).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectivesPerf {
     /// Mesh replication factor used for this stage.
@@ -325,17 +296,14 @@ pub struct ObjectivesPerf {
     pub fake_edges: u64,
     /// One arm per objective, in declaration order.
     pub arms: Vec<ObjectiveArm>,
-    /// Whether every arm solved on both backends.
+    /// Whether every arm solved.
     pub all_solved: bool,
-    /// Worst cross-backend headline disagreement across the arms.
-    pub max_agreement_delta: f64,
     /// The min-MLU envelope/drift sub-stage.
     pub min_mlu: MinMluPerf,
 }
 
-/// Headline value of a solve under an objective: the quantity the two
-/// backends must agree on at 1e-6 (LP objectives differ by the sparse
-/// tie-break epsilon, so the comparison happens at the solution level).
+/// Headline value of a solve under an objective: total throughput, the
+/// MLU, or the concurrency factor λ.
 fn headline(objective: &TeObjective, solve: &rwc_te::TeSolve) -> f64 {
     match objective {
         TeObjective::MinMlu { .. } => solve.mlu.expect("min-MLU solve reports MLU"),
@@ -350,7 +318,7 @@ fn timed_solve(solver: &TeSolver, problem: &TeProblem) -> (Option<rwc_te::TeSolv
     (solve, t0.elapsed().as_micros().max(1) as u64)
 }
 
-/// Optimal MLU of one traffic-matrix set on `problem`, sparse backend.
+/// Optimal MLU of one traffic-matrix set on `problem`.
 fn min_mlu_of(problem: &TeProblem, traffic_matrices: Vec<Vec<f64>>) -> f64 {
     let solver = TeSolver::builder()
         .objective(TeObjective::MinMlu { traffic_matrices })
@@ -362,8 +330,8 @@ fn min_mlu_of(problem: &TeProblem, traffic_matrices: Vec<Vec<f64>>) -> f64 {
 
 /// Runs the objective-zoo stage: augments the scaled mesh (some links get
 /// SNR headroom so fake upgrade rungs exist), then solves every objective
-/// with both backends on the identical augmented problem, plus the
-/// min-MLU envelope-dominance check and warm-start drift sub-stage.
+/// on the augmented problem, plus the min-MLU envelope-dominance check
+/// and warm-start drift sub-stage.
 pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     use rwc_core::{augment, AugmentConfig};
     use rwc_util::units::Db;
@@ -371,8 +339,8 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     let factor = match scale {
         Scale::Quick => 4,
         Scale::Full => 6,
-        // Every arm runs the dense backend, so this stage stays at
-        // tableau-reachable sizes regardless of `--scale`.
+        // Nine solves plus an eight-round drift run on one instance:
+        // the stage stays small regardless of `--scale`.
         Scale::Scaled(n) => (n as usize).clamp(1, 8),
     };
     let (mut wan, dm) = large_te_instance(factor);
@@ -412,32 +380,19 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
     ];
     let mut arms = Vec::with_capacity(objectives.len());
     for objective in &objectives {
-        let build = |backend| {
-            TeSolver::builder()
-                .objective(objective.clone())
-                .backend(backend)
-                .build()
-                .expect("objective-zoo solver config is valid")
-        };
-        let (sparse, sparse_micros) = timed_solve(&build(LpBackend::Sparse), problem);
-        let (dense, dense_micros) = timed_solve(&build(LpBackend::Dense), problem);
-        let (sparse_headline, dense_headline) = (
-            sparse.as_ref().map_or(f64::NAN, |s| headline(objective, s)),
-            dense.as_ref().map_or(f64::NAN, |s| headline(objective, s)),
-        );
+        let solver = TeSolver::builder()
+            .objective(objective.clone())
+            .build()
+            .expect("objective-zoo solver config is valid");
+        let (solve, micros) = timed_solve(&solver, problem);
         arms.push(ObjectiveArm {
             objective: objective.algorithm_name().to_string(),
-            solved: sparse.is_some() && dense.is_some(),
-            sparse_headline,
-            dense_headline,
-            agreement_delta: (sparse_headline - dense_headline).abs(),
-            sparse_solve_micros: sparse_micros,
-            dense_solve_micros: dense_micros,
+            solved: solve.is_some(),
+            sparse_headline: solve.as_ref().map_or(f64::NAN, |s| headline(objective, s)),
+            sparse_solve_micros: micros,
         });
     }
     let all_solved = arms.iter().all(|a| a.solved);
-    let max_agreement_delta =
-        arms.iter().map(|a| a.agreement_delta).fold(0.0f64, f64::max);
 
     // Envelope dominance: the envelope optimum must cover every member
     // matrix's own optimum.
@@ -448,32 +403,27 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         .fold(0.0f64, f64::max);
 
     // Rhs-only TM drift: the same solver re-targeted each round via
-    // `set_objective` (identical LP pattern, drifted demand rhs), sparse
-    // vs dense. This is the MinMlu twin of the warm fast-resolve path.
+    // `set_objective` (identical LP pattern, drifted demand rhs). This is
+    // the MinMlu twin of the warm fast-resolve path.
     const DRIFT_ROUNDS: usize = 8;
     let drift_tms = |round: usize| -> Vec<Vec<f64>> {
         let scale = 0.75 + 0.03 * round as f64;
         tms.iter().map(|tm| tm.iter().map(|d| d * scale).collect()).collect()
     };
-    let drift_arm = |backend| -> (u64, rwc_lp::SolverStats) {
-        let mut solver = TeSolver::builder()
-            .objective(TeObjective::MinMlu { traffic_matrices: drift_tms(0) })
-            .backend(backend)
-            .build()
-            .expect("min-MLU solver config is valid");
-        let mut total = 0u64;
-        for round in 0..DRIFT_ROUNDS {
-            solver
-                .set_objective(TeObjective::MinMlu { traffic_matrices: drift_tms(round) })
-                .expect("drifted traffic matrices stay valid");
-            let t0 = Instant::now();
-            solver.solve_detailed(problem).expect("drift round solves");
-            total += t0.elapsed().as_micros().max(1) as u64;
-        }
-        (total, solver.warm_stats().unwrap_or_default())
-    };
-    let (sparse_total, sparse_stats) = drift_arm(LpBackend::Sparse);
-    let (dense_total, _) = drift_arm(LpBackend::Dense);
+    let mut solver = TeSolver::builder()
+        .objective(TeObjective::MinMlu { traffic_matrices: drift_tms(0) })
+        .build()
+        .expect("min-MLU solver config is valid");
+    let mut drift_micros = 0u64;
+    for round in 0..DRIFT_ROUNDS {
+        solver
+            .set_objective(TeObjective::MinMlu { traffic_matrices: drift_tms(round) })
+            .expect("drifted traffic matrices stay valid");
+        let t0 = Instant::now();
+        solver.solve_detailed(problem).expect("drift round solves");
+        drift_micros += t0.elapsed().as_micros().max(1) as u64;
+    }
+    let drift_stats = solver.warm_stats().unwrap_or_default();
 
     ObjectivesPerf {
         scale_factor: factor as u64,
@@ -481,19 +431,14 @@ pub fn objectives_perf(scale: Scale) -> ObjectivesPerf {
         fake_edges,
         arms,
         all_solved,
-        max_agreement_delta,
         min_mlu: MinMluPerf {
             envelope_mlu,
             max_single_tm_mlu,
             rounds: DRIFT_ROUNDS as u64,
-            warm_attempts: sparse_stats.warm_attempts,
-            warm_hits: sparse_stats.warm_hits,
-            warm_hit_rate: sparse_stats.warm_hit_rate(),
-            sparse_speedup: if sparse_total == 0 {
-                0.0
-            } else {
-                dense_total as f64 / sparse_total as f64
-            },
+            rounds_per_sec: DRIFT_ROUNDS as f64 / (drift_micros as f64 / 1e6),
+            warm_attempts: drift_stats.warm_attempts,
+            warm_hits: drift_stats.warm_hits,
+            warm_hit_rate: drift_stats.warm_hit_rate(),
         },
     }
 }
@@ -598,10 +543,11 @@ impl ScenarioPerf {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// CI regression gate: errors when incremental-engine throughput has
-    /// collapsed to less than half the committed baseline. The 2× band
-    /// absorbs runner-to-runner noise while still catching a lost
-    /// optimisation (which shows up as ~5–10×).
+    /// CI regression gate: errors when incremental-engine, large-TE or
+    /// min-MLU drift throughput has collapsed to less than half the
+    /// committed baseline. The 2× band absorbs runner-to-runner noise
+    /// while still catching a lost optimisation (which shows up as
+    /// ~5–10×).
     pub fn check_against_baseline(&self, baseline: &ScenarioPerf) -> Result<(), String> {
         let floor = baseline.incremental.rounds_per_sec / 2.0;
         if self.incremental.rounds_per_sec < floor {
@@ -628,11 +574,15 @@ impl ScenarioPerf {
             if !obj.all_solved {
                 return Err("objective-zoo stage: not every objective solved".into());
             }
-            if obj.max_agreement_delta > 1e-6 {
-                return Err(format!(
-                    "objective-zoo stage: backends disagree by {:.3e} (gate 1e-6)",
-                    obj.max_agreement_delta
-                ));
+            if let Some(base) = &baseline.objectives {
+                let floor = base.min_mlu.rounds_per_sec / 2.0;
+                if obj.min_mlu.rounds_per_sec < floor {
+                    return Err(format!(
+                        "perf regression: min-MLU drift at {:.1} rounds/sec, \
+                         below half the baseline {:.1}",
+                        obj.min_mlu.rounds_per_sec, base.min_mlu.rounds_per_sec
+                    ));
+                }
             }
             if obj.min_mlu.max_single_tm_mlu > obj.min_mlu.envelope_mlu + 1e-6 {
                 return Err(format!(
@@ -646,7 +596,7 @@ impl ScenarioPerf {
     }
 }
 
-/// Timing + allocation digest of one fleet-analysis arm (fused or legacy).
+/// Timing + allocation digest of one fleet-analysis or generation arm.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetArmPerf {
     /// Links analysed.
@@ -681,41 +631,34 @@ pub struct GenerationPerf {
     pub speedup: f64,
 }
 
-/// The `BENCH_fleet.json` payload: fused vs legacy fleet analysis of the
-/// scale's fleet, plus the byte-identity verdict between the two paths
-/// and the generation-only legacy-vs-batch stage.
+/// The `BENCH_fleet.json` payload: the fused fleet analysis of the
+/// scale's fleet, plus the generation-only legacy-vs-batch stage. Its
+/// byte identity with the per-trace reference is pinned by the
+/// `kernel_equivalence` suite, not measured here.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetPerf {
     /// Experiment id (always `"fleet"`).
     pub experiment: String,
     /// `"quick"`, `"full"`, or `"fleet_xN"`.
     pub scale: String,
-    /// Worker threads used by both arms.
+    /// Worker threads used by the sweep.
     pub n_threads: u64,
     /// Fused single-pass kernel sweep.
     pub fused: FleetArmPerf,
-    /// Legacy trace-materialising sweep.
-    pub legacy: FleetArmPerf,
-    /// `legacy.elapsed_secs / fused.elapsed_secs`.
-    pub speedup: f64,
-    /// `legacy.alloc_bytes / fused.alloc_bytes`.
-    pub alloc_ratio: f64,
-    /// Whether the two accumulators serialized byte-identically.
-    pub accumulators_identical: bool,
     /// Generation-only stage, legacy vs batch.
     pub generation: GenerationPerf,
 }
 
-fn fleet_arm(
+/// Times one fused parallel fleet sweep and its allocations.
+pub fn fleet_arm(
     gen: &rwc_telemetry::FleetGenerator,
     table: &rwc_optics::ModulationTable,
     n_threads: usize,
-    mode: rwc_telemetry::AnalysisMode,
 ) -> (rwc_telemetry::FleetAccumulator, FleetArmPerf) {
     let samples_per_link = gen.config().horizon.ticks(gen.config().tick);
     let started = std::time::Instant::now();
     let (acc, alloc) = crate::alloc::measure(|| {
-        crate::parallel::parallel_fleet_analysis_with(gen, table, n_threads, mode)
+        crate::parallel::parallel_fleet_analysis(gen, table, n_threads)
     });
     let elapsed = started.elapsed().as_secs_f64();
     let links = gen.n_links() as u64;
@@ -777,28 +720,18 @@ pub fn generation_perf(cfg: FleetConfig) -> GenerationPerf {
     GenerationPerf { legacy, batch, speedup }
 }
 
-/// Runs the fused and legacy fleet sweeps back to back (same fleet, same
-/// worker count), plus the generation-only stage, and assembles the
-/// digest.
+/// Runs the fused fleet sweep, plus the generation-only stage, and
+/// assembles the digest.
 pub fn fleet_perf(scale: Scale) -> FleetPerf {
     let gen = rwc_telemetry::FleetGenerator::new(scale.fleet());
     let table = rwc_optics::ModulationTable::paper_default();
     let n_threads = crate::parallel::default_workers();
-    let (fused_acc, fused) = fleet_arm(&gen, &table, n_threads, rwc_telemetry::AnalysisMode::Fused);
-    let (legacy_acc, legacy) =
-        fleet_arm(&gen, &table, n_threads, rwc_telemetry::AnalysisMode::Legacy);
-    let accumulators_identical = serde_json::to_string(&fused_acc).expect("accumulator serializes")
-        == serde_json::to_string(&legacy_acc).expect("accumulator serializes");
-    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+    let (_, fused) = fleet_arm(&gen, &table, n_threads);
     FleetPerf {
         experiment: "fleet".into(),
         scale: scale.label(),
         n_threads: n_threads as u64,
-        speedup: ratio(legacy.elapsed_secs, fused.elapsed_secs),
-        alloc_ratio: ratio(legacy.alloc_bytes as f64, fused.alloc_bytes as f64),
         fused,
-        legacy,
-        accumulators_identical,
         generation: generation_perf(scale.fleet()),
     }
 }
@@ -816,8 +749,7 @@ impl FleetPerf {
 
     /// CI regression gate: errors when fused fleet throughput or batch
     /// generation throughput has fallen below half the committed
-    /// baseline, or the fused path has diverged from legacy. Same 2×
-    /// noise band as the scenario gate.
+    /// baseline. Same 2× noise band as the scenario gate.
     pub fn check_against_baseline(&self, baseline: &FleetPerf) -> Result<(), String> {
         let floor = baseline.fused.links_per_sec / 2.0;
         if self.fused.links_per_sec < floor {
@@ -826,9 +758,6 @@ impl FleetPerf {
                  below half the baseline {:.1}",
                 self.fused.links_per_sec, baseline.fused.links_per_sec
             ));
-        }
-        if !self.accumulators_identical {
-            return Err("fused fleet analysis diverged from the legacy path".into());
         }
         let gen_floor = baseline.generation.batch.samples_per_sec / 2.0;
         if self.generation.batch.samples_per_sec < gen_floor {
@@ -917,13 +846,10 @@ mod tests {
 
     #[test]
     fn baseline_load_maps_failure_modes_to_typed_errors() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-
         // Missing file → Io.
-        let missing = dir.join(format!("rwc_perf_missing_{pid}.json"));
+        let missing = rwc_harness::unique_temp_path("perf_missing.json");
         match PerfBaseline::load(&missing) {
-            Err(PerfError::Io { path, .. }) => assert!(path.contains("rwc_perf_missing")),
+            Err(PerfError::Io { path, .. }) => assert!(path.contains("perf_missing")),
             other => panic!("expected Io, got {other:?}"),
         }
 
@@ -933,7 +859,7 @@ mod tests {
         )
         .expect("committed baseline exists");
         PerfBaseline::from_json(&committed).expect("committed baseline parses");
-        let truncated_path = dir.join(format!("rwc_perf_trunc_{pid}.json"));
+        let truncated_path = rwc_harness::unique_temp_path("perf_trunc.json");
         std::fs::write(&truncated_path, &committed[..committed.len() / 2]).unwrap();
         match PerfBaseline::load(&truncated_path) {
             Err(PerfError::Schema { .. }) => {}
@@ -942,7 +868,7 @@ mod tests {
         std::fs::remove_file(&truncated_path).ok();
 
         // Valid JSON, wrong shape → Schema.
-        let mismatched_path = dir.join(format!("rwc_perf_shape_{pid}.json"));
+        let mismatched_path = rwc_harness::unique_temp_path("perf_shape.json");
         std::fs::write(&mismatched_path, r#"{"scenario": 3, "fleet": []}"#).unwrap();
         match PerfBaseline::load(&mismatched_path) {
             Err(PerfError::Schema { .. }) => {}
@@ -960,26 +886,13 @@ mod tests {
         cfg.horizon = rwc_util::time::SimDuration::from_days(60);
         let gen = rwc_telemetry::FleetGenerator::new(cfg.clone());
         let table = rwc_optics::ModulationTable::paper_default();
-        let (fused_acc, fused) =
-            fleet_arm(&gen, &table, 2, rwc_telemetry::AnalysisMode::Fused);
-        let (legacy_acc, legacy) =
-            fleet_arm(&gen, &table, 2, rwc_telemetry::AnalysisMode::Legacy);
-        assert_eq!(fused.links, legacy.links);
-        assert_eq!(fused.samples, legacy.samples);
+        // The allocation comparison against the reference path lives in
+        // `tests/fleet_alloc.rs`, alone in its binary: the counting
+        // allocator is process-global, so parallel tests would pollute it.
+        let (fused_acc, fused) = fleet_arm(&gen, &table, 2);
+        assert_eq!(fused.links, gen.n_links() as u64);
+        assert_eq!(fused_acc.len(), gen.n_links());
         assert!(fused.links_per_sec > 0.0);
-        assert_eq!(
-            serde_json::to_string(&fused_acc).unwrap(),
-            serde_json::to_string(&legacy_acc).unwrap(),
-            "fused arm diverged from legacy"
-        );
-        // The fused path must allocate far less: no per-link trace clone,
-        // no per-call HDR clone.
-        assert!(
-            fused.alloc_bytes * 2 < legacy.alloc_bytes,
-            "fused {} bytes vs legacy {} bytes",
-            fused.alloc_bytes,
-            legacy.alloc_bytes
-        );
         let generation = generation_perf(cfg);
         assert_eq!(generation.legacy.samples, generation.batch.samples);
         assert!(generation.batch.samples_per_sec > 0.0);
@@ -987,11 +900,7 @@ mod tests {
             experiment: "fleet".into(),
             scale: quick.label(),
             n_threads: 2,
-            speedup: legacy.elapsed_secs / fused.elapsed_secs,
-            alloc_ratio: legacy.alloc_bytes as f64 / fused.alloc_bytes as f64,
             fused,
-            legacy,
-            accumulators_identical: true,
             generation,
         };
         let json = perf.to_json();
@@ -1005,9 +914,6 @@ mod tests {
         gen_fast.generation.batch.samples_per_sec =
             perf.generation.batch.samples_per_sec * 10.0;
         assert!(perf.check_against_baseline(&gen_fast).is_err());
-        let mut diverged = back;
-        diverged.accumulators_identical = false;
-        assert!(diverged.check_against_baseline(&perf).is_err());
     }
 
     #[test]
@@ -1032,9 +938,13 @@ mod tests {
         assert_eq!(json, back.to_json(), "digest must round-trip");
         // A digest always clears its own baseline.
         perf.check_against_baseline(&back).expect("self-comparison passes");
-        // And a 10× faster baseline trips the gate.
+        // And a 10× faster baseline trips the gate, for every gated rate.
         let mut fast = back.clone();
         fast.incremental.rounds_per_sec = perf.incremental.rounds_per_sec * 10.0;
         assert!(perf.check_against_baseline(&fast).is_err());
+        let mut fast_drift = back;
+        let drift = &mut fast_drift.objectives.as_mut().expect("objectives stage").min_mlu;
+        drift.rounds_per_sec *= 10.0;
+        assert!(perf.check_against_baseline(&fast_drift).is_err());
     }
 }

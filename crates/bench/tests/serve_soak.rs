@@ -116,8 +116,7 @@ fn soak_shard_panics_mid_run_converge_to_reference() {
 
 #[test]
 fn soak_kill_and_resume_matches_uninterrupted_run() {
-    let dir = std::env::temp_dir()
-        .join(format!("rwc_serve_soak_kill_{}", std::process::id()));
+    let dir = rwc_harness::unique_temp_path("serve_soak_kill");
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = soak_config();
     cfg.checkpoint = Some(ServeCheckpointConfig { dir: dir.clone(), every_links: 2 });

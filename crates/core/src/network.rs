@@ -154,7 +154,7 @@ pub struct DynamicCapacityNetwork {
 }
 
 /// Exact memo key for the static-baseline solve: algorithm name, the
-/// algorithm's solve fingerprint (objective/backend/weights — two
+/// algorithm's solve fingerprint (objective/weights/traffic — two
 /// `TeSolver`s share a name but not a meaning), each link's capacity
 /// bits, and each demand's endpoints + volume bits. Only the fingerprint
 /// is a hash (it folds solver *configuration*, which is tiny and fixed

@@ -32,6 +32,7 @@ use rwc_telemetry::FleetAccumulator;
 use serde::{map_field, Content, DeError, Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Current checkpoint format version. Bumped on any payload schema change;
 /// loaders reject other versions rather than guessing.
@@ -341,6 +342,18 @@ impl CheckpointStore {
     }
 }
 
+/// A fresh path in the system temp directory, `rwc_<pid>_<n>_<name>`,
+/// where `n` comes from a process-wide counter: no two calls in one
+/// process, and no two concurrent processes, ever share a path. Tests
+/// (which run in parallel threads) and the chaos experiment take their
+/// scratch files from here, so one can never delete a file another is
+/// still reading.
+pub fn unique_temp_path(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rwc_{}_{n}_{name}", std::process::id()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,8 +384,7 @@ mod tests {
 
     #[test]
     fn write_load_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_roundtrip_{}.json", std::process::id()));
+        let path = unique_temp_path("cp_roundtrip.json");
         let cp = sample_checkpoint();
         write_atomic(&path, &cp).unwrap();
         let back = load(&path).unwrap();
@@ -386,16 +398,14 @@ mod tests {
 
     #[test]
     fn no_temp_file_left_behind() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_tmpcheck_{}.json", std::process::id()));
+        let path = unique_temp_path("cp_tmpcheck.json");
         write_atomic(&path, &sample_checkpoint()).unwrap();
         assert!(!tmp_path(&path).exists(), "temp file must be renamed away");
         std::fs::remove_file(&path).ok();
     }
 
     fn envelope_text() -> String {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rwc_cp_envelope_{}.json", std::process::id()));
+        let path = unique_temp_path("cp_envelope.json");
         write_atomic(&path, &sample_checkpoint()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -457,14 +467,21 @@ mod tests {
     }
 
     #[test]
+    fn temp_paths_are_unique() {
+        let a = unique_temp_path("same.json");
+        let b = unique_temp_path("same.json");
+        assert_ne!(a, b);
+        assert!(a.starts_with(std::env::temp_dir()));
+    }
+
+    #[test]
     fn missing_file_is_io() {
         let err = load(Path::new("/definitely/not/here.json")).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)));
     }
 
     fn temp_store(tag: &str) -> CheckpointStore {
-        let path = std::env::temp_dir()
-            .join(format!("rwc_store_{tag}_{}.json", std::process::id()));
+        let path = unique_temp_path(&format!("store_{tag}.json"));
         let store = CheckpointStore::new(path);
         store.clear();
         store

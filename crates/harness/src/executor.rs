@@ -30,9 +30,7 @@ use crate::checkpoint::{
 };
 use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::ModulationTable;
-use rwc_telemetry::{
-    AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, GenMode, LinkAnalysis,
-};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel, GenMode};
 use rwc_util::rng::Xoshiro256;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +46,6 @@ pub struct SweepSpec<'a> {
     pub gen: &'a FleetGenerator,
     /// Ladder the links are analysed against.
     pub table: &'a ModulationTable,
-    /// Fused or legacy per-link analysis.
-    pub mode: AnalysisMode,
     /// Worker threads.
     pub n_threads: usize,
     /// Collect per-chunk metrics snapshots (kernel counters/events).
@@ -217,17 +213,17 @@ pub fn chunk_size_for(n_links: usize, n_threads: usize) -> usize {
     n_links.div_ceil(n_threads.max(1) * 4).max(1)
 }
 
-/// The fingerprint's mode string covers both the analysis path and the
-/// generation pipeline: resuming a checkpoint under a different generation
-/// mode would merge byte-different traces, so the pair must match exactly.
-/// Legacy-generation labels keep their pre-batch spelling, so checkpoints
-/// written before `GenMode` existed still resume.
-fn mode_label(mode: AnalysisMode, gen_mode: GenMode) -> &'static str {
-    match (mode, gen_mode) {
-        (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-        (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-        (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-        (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
+/// The fingerprint's mode string names the generation pipeline: resuming
+/// a checkpoint under a different generation mode would merge
+/// byte-different traces, so it must match exactly. The labels keep the
+/// spelling they had when a second analysis path still existed (`fused`
+/// prefix), so older checkpoints of the fused path still resume and
+/// checkpoints of the retired per-trace path (`legacy`, `legacy+batchgen`)
+/// are rejected as a configuration mismatch.
+pub fn mode_label(gen_mode: GenMode) -> &'static str {
+    match gen_mode {
+        GenMode::Legacy => "fused",
+        GenMode::Batch => "fused+batchgen",
     }
 }
 
@@ -270,15 +266,7 @@ fn process_chunk(
     let hi = (lo + chunk_size).min(spec.gen.n_links());
     let mut acc = FleetAccumulator::new();
     for link_id in lo..hi {
-        match spec.mode {
-            AnalysisMode::Fused => {
-                acc.push(&kernel.analyze_generated(spec.gen, link_id, spec.table));
-            }
-            AnalysisMode::Legacy => {
-                let link = spec.gen.link(link_id);
-                acc.push(&LinkAnalysis::new(&link.trace, spec.table));
-            }
-        }
+        acc.push(&kernel.analyze_generated(spec.gen, link_id, spec.table));
     }
     ChunkDone { acc, metrics: chunk_obs.map(|o| o.snapshot()) }
 }
@@ -336,7 +324,7 @@ pub fn run_fleet_sweep(
         n_links: n_links as u64,
         chunk_size: chunk_size as u64,
         seed: spec.gen.config().seed,
-        mode: mode_label(spec.mode, spec.gen.gen_mode()).into(),
+        mode: mode_label(spec.gen.gen_mode()).into(),
     };
     let n_chunks = n_links.div_ceil(chunk_size);
     let mut slots: Vec<Option<ChunkDone>> = (0..n_chunks).map(|_| None).collect();
@@ -564,7 +552,7 @@ mod tests {
         table: &'a ModulationTable,
         threads: usize,
     ) -> SweepSpec<'a> {
-        SweepSpec { gen, table, mode: AnalysisMode::Fused, n_threads: threads, collect_metrics: true }
+        SweepSpec { gen, table, n_threads: threads, collect_metrics: true }
     }
 
     fn completed(outcome: SweepOutcome) -> SweepResult {
@@ -642,8 +630,7 @@ mod tests {
         let reference = completed(
             run_fleet_sweep(&spec(&gen, &table, 2), &ExecutorConfig::default(), None).unwrap(),
         );
-        let path = std::env::temp_dir()
-            .join(format!("rwc_exec_resume_{}.json", std::process::id()));
+        let path = checkpoint::unique_temp_path("exec_resume.json");
         let cfg = ExecutorConfig {
             checkpoint: Some(CheckpointConfig { path: path.clone(), every_chunks: 1 }),
             chaos: Some(ChaosPlan::new(3).with_kill_after(2)),
@@ -720,6 +707,30 @@ mod tests {
             Err(HarnessError::Checkpoint(CheckpointError::ConfigMismatch(_))) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn resume_rejects_retired_analysis_path_checkpoints() {
+        // Checkpoints of the retired per-trace analysis path carried the
+        // `legacy` labels; they must be refused as a config mismatch, not
+        // merged and not a panic.
+        let gen = tiny_fleet();
+        let table = ModulationTable::paper_default();
+        let n_links = gen.n_links() as u64;
+        for label in ["legacy", "legacy+batchgen"] {
+            let cp = SweepCheckpoint::new(SweepFingerprint {
+                n_links,
+                chunk_size: chunk_size_for(n_links as usize, 2) as u64,
+                seed: gen.config().seed,
+                mode: label.into(),
+            });
+            match run_fleet_sweep(&spec(&gen, &table, 2), &ExecutorConfig::default(), Some(&cp)) {
+                Err(HarnessError::Checkpoint(CheckpointError::ConfigMismatch(_))) => {}
+                other => panic!("{label}: expected ConfigMismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(mode_label(GenMode::Legacy), "fused");
+        assert_eq!(mode_label(GenMode::Batch), "fused+batchgen");
     }
 
     #[test]

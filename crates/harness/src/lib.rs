@@ -29,10 +29,10 @@ pub mod executor;
 
 pub use chaos::{corrupt_bit_flip, corrupt_truncate, corrupt_version_bump, ChaosPlan};
 pub use checkpoint::{
-    CheckpointEpoch, CheckpointError, CheckpointStore, ChunkCheckpoint, StoreLoad,
-    SweepCheckpoint, SweepFingerprint, CHECKPOINT_VERSION,
+    unique_temp_path, CheckpointEpoch, CheckpointError, CheckpointStore, ChunkCheckpoint,
+    StoreLoad, SweepCheckpoint, SweepFingerprint, CHECKPOINT_VERSION,
 };
 pub use executor::{
-    chunk_size_for, run_fleet_sweep, CheckpointConfig, ExecutorConfig, HarnessError, RetryPolicy,
-    SweepOutcome, SweepResult, SweepSpec, SweepStats,
+    chunk_size_for, mode_label, run_fleet_sweep, CheckpointConfig, ExecutorConfig, HarnessError,
+    RetryPolicy, SweepOutcome, SweepResult, SweepSpec, SweepStats,
 };

@@ -6,8 +6,8 @@
 //! Garg–Könemann multicommodity FPTAS is approximate and is validated
 //! against the LP optimum within its `ε` guarantee.
 
-use crate::model::{LpBuilder, Relation};
-use crate::simplex::{solve, LpOutcome};
+use crate::model::{LpBuilder, LpOutcome, Relation};
+use crate::revised::solve;
 
 /// Edge list form used by the encoders: `(from, to, capacity)`.
 pub type EdgeList = Vec<(usize, usize, f64)>;

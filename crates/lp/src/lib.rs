@@ -1,7 +1,7 @@
 //! # rwc-lp
 //!
-//! A small, exact linear-programming solver (two-phase dense simplex with
-//! Bland's rule) plus encoders that express flow problems as LPs.
+//! A small, exact linear-programming solver (sparse revised simplex with
+//! warm starts) plus encoders that express flow problems as LPs.
 //!
 //! Why build one: the reproduction's headline theorem says min-cost
 //! max-flow on the augmented graph equals max-flow on the dynamic-capacity
@@ -12,10 +12,11 @@
 //! so this is written from scratch on `std` only).
 //!
 //! - [`model`]: the LP model ([`model::LinearProgram`], built via
-//!   [`model::LpBuilder`]);
-//! - [`simplex`]: the dense tableau solver (legacy backend, escape hatch);
+//!   [`model::LpBuilder`]) and its [`model::LpOutcome`];
 //! - [`sparse`]: CSC computational form + bound-absorbing lowering;
-//! - [`revised`]: the sparse revised-simplex solver (default backend);
+//! - [`revised`]: the sparse revised-simplex solver — the one LP engine;
+//! - [`simplex`]: the dense two-phase tableau, kept only as the cold
+//!   reference oracle the equivalence suites compare against;
 //! - [`flows`]: max-flow / min-cost-max-flow / multicommodity encoders.
 
 #![forbid(unsafe_code)]
@@ -29,10 +30,6 @@ pub mod revised;
 pub mod simplex;
 pub mod sparse;
 
-pub use model::{LinearProgram, LpBuilder, Relation};
-pub use revised::SparseSimplexSolver;
-pub use simplex::{
-    solve, solve_with_budget, solve_with_backend, LpBackend, LpOutcome, SimplexSolver, Solution,
-    SolverStats,
-};
+pub use model::{LinearProgram, LpBuilder, LpOutcome, Relation, Solution};
+pub use revised::{solve, solve_with_budget, SolverStats, SparseSimplexSolver};
 pub use sparse::{CscMatrix, SparseLp, SparseLpBuilder};

@@ -15,6 +15,40 @@ pub enum Relation {
     Ge,
 }
 
+/// An optimal solution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Solution {
+    /// Optimal variable values.
+    pub x: Vec<f64>,
+    /// Optimal objective value.
+    pub objective: f64,
+}
+
+/// Outcome of solving an LP.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LpOutcome {
+    /// An optimum was found.
+    Optimal(Solution),
+    /// No feasible point exists.
+    Infeasible,
+    /// The objective is unbounded above.
+    Unbounded,
+    /// The pivot budget ran out before reaching optimality (numerical
+    /// stall or pathological degeneracy). Callers should treat this as
+    /// a solver failure, not a property of the model.
+    Stalled,
+}
+
+impl LpOutcome {
+    /// Unwraps the optimal solution; panics otherwise.
+    pub fn expect_optimal(self) -> Solution {
+        match self {
+            LpOutcome::Optimal(s) => s,
+            other => panic!("expected optimal solution, got {other:?}"),
+        }
+    }
+}
+
 /// One linear constraint `coeffs · x (op) rhs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {

@@ -1,12 +1,12 @@
-//! Revised simplex over sparse structures — the large-graph LP backend.
+//! Revised simplex over sparse structures — the crate's LP engine.
 //!
-//! The dense tableau in [`crate::simplex`] carries an `m × n_total`
-//! matrix and rewrites all of it on every pivot: O(m·n) memory and time
-//! per pivot, which does not survive the 10k-link augmented-graph regime.
-//! This module keeps the same outward contract (warm start from the
+//! The dense tableau in [`crate::simplex`] (now only the reference
+//! oracle) carries an `m × n_total` matrix and rewrites all of it on
+//! every pivot: O(m·n) memory and time per pivot, which does not survive
+//! the 10k-link augmented-graph regime. This engine (warm start from the
 //! retained basis, dual-simplex repair on rhs drift, Bland's-rule
 //! anti-cycling, the stride-64 solve watchdog, [`LpOutcome`] semantics)
-//! but only ever touches:
+//! only ever touches:
 //!
 //! - the CSC constraint matrix ([`crate::sparse::SparseLp`]), read-only;
 //! - a sparse LU factorisation of the `m × m` basis
@@ -25,16 +25,15 @@
 //! appends fake-edge columns maps the saved basis through the unchanged
 //! prefix and keeps the factorisation instead of falling back cold.
 
-use crate::model::{LinearProgram, Relation};
+use crate::model::{LinearProgram, LpOutcome, Relation, Solution};
 use crate::lu::{Eta, LuFactors};
 use crate::pricing::CandidateList;
-use crate::simplex::{LpOutcome, Solution, SolverStats};
 use crate::sparse::SparseLp;
 use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-9;
 /// Pivots between wall-clock watchdog checks (every pivot under a chaos
-/// delay), mirroring the dense backend.
+/// delay); a power of two so the test compiles to a mask.
 const WATCHDOG_STRIDE: u64 = 64;
 /// Minimum magnitude for a ratio-test pivot element.
 const PIVOT_TOL: f64 = 1e-7;
@@ -50,7 +49,7 @@ const REFACTOR_EVERY: usize = 64;
 /// Entries below this are dropped from eta columns.
 const ETA_DROP_TOL: f64 = 1e-12;
 /// Residual Phase-I infeasibility above which the program is declared
-/// infeasible (matches the dense backend).
+/// infeasible (matches the dense reference).
 const PHASE1_TOL: f64 = 1e-7;
 
 /// Where a nonbasic variable currently rests.
@@ -86,6 +85,42 @@ struct SavedBasis {
     at_upper: Vec<SavedRef>,
 }
 
+/// Cumulative counters of a [`SparseSimplexSolver`]'s warm-start and
+/// factorisation behaviour.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverStats {
+    /// Solves that ran the cold two-phase path (including warm-start
+    /// fallbacks).
+    pub cold_solves: u64,
+    /// Solves that attempted a warm start from the saved basis.
+    pub warm_attempts: u64,
+    /// Warm attempts that reached optimality without falling back.
+    pub warm_hits: u64,
+    /// Total pivots performed (both phases, all solves).
+    pub pivots: u64,
+    /// Solve attempts aborted by the wall-clock watchdog (each warm or
+    /// cold attempt that hit its deadline counts once).
+    pub watchdog_aborts: u64,
+    /// Product-form eta updates pushed between refactorisations.
+    pub eta_updates: u64,
+    /// Basis refactorisations performed.
+    pub refactorizations: u64,
+    /// Candidate-list refill scans over the full column set (each scan
+    /// prices up to the whole matrix once).
+    pub pricing_scans: u64,
+}
+
+impl SolverStats {
+    /// Fraction of warm attempts that stuck, in `[0, 1]`.
+    pub fn warm_hit_rate(&self) -> f64 {
+        if self.warm_attempts == 0 {
+            0.0
+        } else {
+            self.warm_hits as f64 / self.warm_attempts as f64
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OptOutcome {
     Optimal,
@@ -93,9 +128,8 @@ enum OptOutcome {
     Stalled,
 }
 
-/// A reusable sparse revised-simplex engine. Mirrors
-/// [`crate::SimplexSolver`]'s API and warm-start contract; scratch
-/// buffers, the LU factors and the last optimal basis persist across
+/// A reusable sparse revised-simplex engine, the crate's one production
+/// LP solver. Scratch buffers, the LU factors and the last optimal basis persist across
 /// solves so a sequence of drifting TE rounds pays for factorisation
 /// once, not per round.
 #[derive(Debug, Clone, Default)]
@@ -190,8 +224,12 @@ impl SparseSimplexSolver {
         self.fact_valid = false;
     }
 
-    /// Arms (or disarms, with `None`) the solve-deadline watchdog; same
-    /// semantics as [`crate::SimplexSolver::set_solve_timeout`].
+    /// Arms (or disarms, with `None`) the solve-deadline watchdog: each
+    /// solve attempt that runs past `timeout` of wall-clock time is
+    /// aborted at the next stride boundary. An aborted *warm* attempt
+    /// falls back to a cold solve with a fresh deadline; an aborted cold
+    /// solve returns [`LpOutcome::Stalled`], which the TE layer maps to a
+    /// typed timeout error instead of hanging the round.
     pub fn set_solve_timeout(&mut self, timeout: Option<Duration>) {
         self.solve_timeout = timeout;
     }
@@ -1031,19 +1069,19 @@ impl SparseSimplexSolver {
 }
 
 /// Pivot budget scaled to the problem size (same policy as the dense
-/// backend).
+/// reference).
 fn default_budget(lp: &SparseLp) -> u64 {
     let m = lp.n_rows() as u64;
     let n = lp.n_vars() as u64;
     100_000u64.max(50 * (m + n))
 }
 
-/// Solves a dense-model LP through the sparse backend, one-shot.
+/// Solves a dense-model LP through the sparse engine, one-shot.
 pub fn solve(lp: &LinearProgram) -> LpOutcome {
     SparseSimplexSolver::new().solve(lp)
 }
 
-/// Solves a dense-model LP through the sparse backend with an explicit
+/// Solves a dense-model LP through the sparse engine with an explicit
 /// per-phase pivot budget, one-shot.
 pub fn solve_with_budget(lp: &LinearProgram, max_pivots: u64) -> LpOutcome {
     SparseSimplexSolver::new().solve_with_budget(lp, max_pivots)
@@ -1226,8 +1264,8 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_dense_backend_on_random_programs() {
-        // Pseudo-random dense LPs: both backends must certify the same
+    fn agrees_with_dense_reference_on_random_programs() {
+        // Pseudo-random dense LPs: both engines must certify the same
         // optimum (or the same non-optimal outcome class).
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -1259,7 +1297,7 @@ mod tests {
             }
             let lp = b.build();
             let sparse = solve(&lp);
-            let dense = crate::simplex::SimplexSolver::new().solve(&lp);
+            let dense = crate::simplex::solve_dense(&lp);
             match (sparse, dense) {
                 (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
                     assert_near(a.objective, b.objective)

@@ -8,7 +8,7 @@
 //! one slack column per capacity from the basis the LU factorisation has
 //! to carry. [`SparseLp::from_dense`] performs exactly that lowering
 //! (singleton-row → bound presolve) on a dense [`LinearProgram`], so the
-//! two backends accept the same model type.
+//! sparse engine and the dense reference accept the same model type.
 //!
 //! The per-column *pattern hashes* ([`SparseLp::column_pattern_hashes`])
 //! are the warm-start key: a saved basis is reusable when the structural

@@ -1,17 +1,16 @@
-//! Backend equivalence: the sparse revised simplex against the dense
-//! tableau on randomized multi-commodity-flow instances and on the drift
-//! sequences the TE round engine produces.
+//! Engine equivalence: the sparse revised simplex against the dense
+//! reference tableau on randomized multi-commodity-flow instances and on
+//! the drift sequences the TE round engine produces.
 //!
-//! Both backends solve the *same* `LinearProgram`; the dense tableau is
-//! the oracle (it predates the sparse core and is pinned by its own
-//! vertex-enumeration property suite). Every test asserts objective
-//! agreement to 1e-6 — the same tolerance the `LpBackend::Dense` escape
-//! hatch promises.
+//! Both engines solve the *same* `LinearProgram`; the dense tableau is
+//! the oracle (it predates the sparse core, is pinned by the
+//! vertex-enumeration property suite in `props.rs`, and is always solved
+//! cold). Every test asserts objective agreement to 1e-6.
 
 use proptest::prelude::*;
 use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::simplex::{LpOutcome, SimplexSolver};
-use rwc_lp::SparseSimplexSolver;
+use rwc_lp::simplex::solve_dense;
+use rwc_lp::{LpOutcome, SparseSimplexSolver};
 use std::time::Duration;
 
 /// A random multi-commodity-flow instance in dense `LinearProgram` form:
@@ -122,7 +121,7 @@ fn mcf_instances() -> impl Strategy<Value = McfInstance> {
 }
 
 fn dense_objective(lp: &LinearProgram) -> f64 {
-    SimplexSolver::new().solve(lp).expect_optimal().objective
+    solve_dense(lp).expect_optimal().objective
 }
 
 fn sparse_objective(solver: &mut SparseSimplexSolver, lp: &LinearProgram) -> f64 {
@@ -246,15 +245,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Objective-zoo equivalence: the same backend contract (sparse == dense
-// at 1e-6, warm starts on rhs-only drift) for every `TeObjective`, driven
-// through the real `TeFormulation` lowering instead of a hand-rolled LP.
+// Objective-zoo equivalence: the same contract (sparse `TeSolver` == the
+// dense `TeFormulation::solve_reference` oracle at 1e-6, warm starts on
+// rhs-only drift) for every `TeObjective`, driven through the real
+// `TeFormulation` lowering instead of a hand-rolled LP.
 // ---------------------------------------------------------------------
 
-use rwc_lp::simplex::LpBackend;
 use rwc_te::demand::DemandMatrix;
 use rwc_te::problem::{EdgeOrigin, TeProblem};
-use rwc_te::{TeAlgorithm, TeObjective, TeSolve, TeSolver, WarmStartPolicy};
+use rwc_te::{TeAlgorithm, TeFormulation, TeObjective, TeSolve, TeSolver};
 use rwc_topology::random::{waxman, WaxmanConfig};
 use rwc_topology::wan::LinkId;
 use rwc_util::units::Gbps;
@@ -275,7 +274,7 @@ fn te_instances() -> impl Strategy<Value = TeProblem> {
     })
 }
 
-/// The value both backends must agree on for an objective: total
+/// The value both engines must agree on for an objective: total
 /// throughput, the MLU, or the concurrency factor λ. (Raw LP objectives
 /// differ by the sparse tie-break epsilon, so equivalence is asserted at
 /// the solution level — the same contract the max-throughput path pins.)
@@ -287,12 +286,16 @@ fn zoo_headline(objective: &TeObjective, solve: &TeSolve) -> f64 {
     }
 }
 
-fn zoo_solver(objective: TeObjective, backend: LpBackend) -> TeSolver {
+fn zoo_solver(objective: TeObjective) -> TeSolver {
     TeSolver::builder()
         .objective(objective)
-        .backend(backend)
         .build()
         .expect("objective-zoo solver config is valid")
+}
+
+/// The dense-tableau oracle's cold solve of `p` under `objective`.
+fn reference(objective: TeObjective, p: &TeProblem) -> TeSolve {
+    TeFormulation::new(objective).solve_reference(p).expect("reference solve")
 }
 
 /// Every objective the formulation can lower for `p`, including a
@@ -348,12 +351,10 @@ proptest! {
     #[test]
     fn backends_agree_on_every_objective(p in te_instances()) {
         for objective in zoo(&p) {
-            let sparse = zoo_solver(objective.clone(), LpBackend::Sparse)
+            let sparse = zoo_solver(objective.clone())
                 .solve_detailed(&p)
                 .expect("sparse solve");
-            let dense = zoo_solver(objective.clone(), LpBackend::Dense)
-                .solve_detailed(&p)
-                .expect("dense solve");
+            let dense = reference(objective.clone(), &p);
             let (s, d) = (zoo_headline(&objective, &sparse), zoo_headline(&objective, &dense));
             prop_assert!((s - d).abs() <= 1e-6 * (1.0 + d.abs()),
                 "{}: sparse {s} vs dense {d}", objective.algorithm_name());
@@ -361,7 +362,7 @@ proptest! {
     }
 
     /// Rhs-only drift warm-starts for every objective: a persistent
-    /// sparse solver tracks an always-cold dense solver across the drift
+    /// sparse solver tracks the cold dense reference across the drift
     /// sequence, attempting a warm start at every step. Capacities drift
     /// for the throughput-family objectives; traffic matrices drift for
     /// min-MLU (its MLU column carries capacity values, so capacity moves
@@ -372,7 +373,7 @@ proptest! {
         drift in proptest::collection::vec(0.6f64..1.4, 3..6),
     ) {
         for objective in zoo(&p) {
-            let mut warm = zoo_solver(objective.clone(), LpBackend::Sparse);
+            let mut warm = zoo_solver(objective.clone());
             warm.solve_detailed(&p).expect("first solve");
             let tm_drift = matches!(objective, TeObjective::MinMlu { .. });
             for &scale in &drift {
@@ -382,14 +383,8 @@ proptest! {
                     warm.set_objective(drifted.clone())
                         .expect("drifted objective stays valid");
                 }
-                let cold = TeSolver::builder()
-                    .objective(drifted)
-                    .backend(LpBackend::Dense)
-                    .warm_start(WarmStartPolicy::AlwaysCold)
-                    .build()
-                    .expect("cold oracle config is valid");
                 let w = warm.solve_detailed(&q).expect("warm drift solve");
-                let c = cold.solve_detailed(&q).expect("cold drift solve");
+                let c = reference(drifted, &q);
                 let (wv, cv) = (
                     zoo_headline(&objective, &w),
                     zoo_headline(&objective, &c),
@@ -411,7 +406,7 @@ proptest! {
 /// same endpoints, demand 300 G. The node-splitting gadget routes through
 /// the shared 200 G guard edge, and the ladder fold must put exactly
 /// 100 G on the real edge and exactly 100 G on the rung — identically on
-/// both backends.
+/// the sparse solver and the dense reference.
 #[test]
 fn fig8_unsplittable_fixture_integral_optimum() {
     let wan = {
@@ -431,19 +426,18 @@ fn fig8_unsplittable_fixture_integral_optimum() {
     p.net.add_edge(real.from, real.to, 100.0, 1.0);
     p.origins.push(EdgeOrigin::Fake { link: LinkId(0), forward: true });
 
-    for backend in [LpBackend::Sparse, LpBackend::Dense] {
-        let solve = zoo_solver(TeObjective::Unsplittable, backend)
-            .solve_detailed(&p)
-            .expect("fixture solves");
+    let sparse = zoo_solver(TeObjective::Unsplittable).solve_detailed(&p).expect("fixture solves");
+    let dense = reference(TeObjective::Unsplittable, &p);
+    for (backend, solve) in [("sparse", sparse), ("dense", dense)] {
         assert!(
             (solve.solution.total - 200.0).abs() < 1e-6,
-            "{backend:?}: total {} != 200", solve.solution.total
+            "{backend}: total {} != 200", solve.solution.total
         );
         // Ladder fold: real slice saturates first, the rung takes the rest.
         assert!((solve.solution.edge_flows[0] - 100.0).abs() < 1e-6,
-            "{backend:?}: real edge carries {}", solve.solution.edge_flows[0]);
+            "{backend}: real edge carries {}", solve.solution.edge_flows[0]);
         assert!((solve.solution.edge_flows[2] - 100.0).abs() < 1e-6,
-            "{backend:?}: fake rung carries {}", solve.solution.edge_flows[2]);
+            "{backend}: fake rung carries {}", solve.solution.edge_flows[2]);
         solve.solution.validate(&p).expect("fixture solution is feasible");
     }
 }

@@ -1,10 +1,13 @@
-//! Property tests: the simplex against brute-force vertex enumeration on
-//! two-variable LPs (where the optimum, if it exists, lies on a vertex of
-//! the feasible polygon — checkable by hand).
+//! Property tests: both simplex engines — the sparse revised solver and
+//! the dense reference tableau — against brute-force vertex enumeration
+//! on two-variable LPs (where the optimum, if it exists, lies on a vertex
+//! of the feasible polygon — checkable by hand), plus the warm sparse
+//! solver against cold dense solves across drifting LP families.
 
 use proptest::prelude::*;
 use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::simplex::{solve, LpOutcome, SimplexSolver};
+use rwc_lp::simplex::solve_dense;
+use rwc_lp::{solve, LpOutcome, SparseSimplexSolver};
 
 /// Brute-force a 2-var LP: enumerate candidate vertices (constraint-pair
 /// intersections + axis intersections + origin), keep the feasible ones,
@@ -49,7 +52,7 @@ fn brute_force_2var(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On bounded-feasible random 2-var LPs the simplex matches the
+    /// On bounded-feasible random 2-var LPs both engines match the
     /// vertex-enumeration optimum.
     #[test]
     fn simplex_matches_vertex_enumeration(
@@ -71,17 +74,19 @@ proptest! {
         }
         let lp = b.build();
         let expected = brute_force_2var((cx, cy), &cons).expect("origin is feasible");
-        match solve(&lp) {
-            LpOutcome::Optimal(s) => {
-                prop_assert!((s.objective - expected).abs() < 1e-5,
-                    "simplex {} vs brute force {expected}", s.objective);
-                // The returned point is feasible.
-                prop_assert!(s.x[0] >= -1e-9 && s.x[1] >= -1e-9);
-                for &(a, bb, c) in &cons {
-                    prop_assert!(a * s.x[0] + bb * s.x[1] <= c + 1e-6);
+        for (engine, outcome) in [("sparse", solve(&lp)), ("dense", solve_dense(&lp))] {
+            match outcome {
+                LpOutcome::Optimal(s) => {
+                    prop_assert!((s.objective - expected).abs() < 1e-5,
+                        "{engine} {} vs brute force {expected}", s.objective);
+                    // The returned point is feasible.
+                    prop_assert!(s.x[0] >= -1e-9 && s.x[1] >= -1e-9);
+                    for &(a, bb, c) in &cons {
+                        prop_assert!(a * s.x[0] + bb * s.x[1] <= c + 1e-6);
+                    }
                 }
+                other => prop_assert!(false, "{engine}: expected optimal, got {other:?}"),
             }
-            other => prop_assert!(false, "expected optimal, got {other:?}"),
         }
     }
 
@@ -108,11 +113,11 @@ proptest! {
             "{scaled} vs {}", k * base);
     }
 
-    /// One persistent solver re-solving a drifting LP family matches a
-    /// cold solver's optimal objective on every step — through
-    /// fast resolves (rhs-only drift), basis refactorisations
-    /// (coefficient drift), and forced cold fallbacks (structural edits
-    /// that change the constraint count, invalidating the saved basis).
+    /// One persistent sparse solver re-solving a drifting LP family
+    /// matches the cold dense reference's optimal objective on every step
+    /// — through fast resolves (rhs-only drift), basis refactorisations
+    /// (coefficient drift), and structural edits that change the
+    /// constraint count.
     #[test]
     fn warm_resolve_matches_cold_across_perturbations(
         objs in proptest::collection::vec(0.2f64..5.0, 3),
@@ -140,10 +145,10 @@ proptest! {
             }
             b.build()
         };
-        let mut warm = SimplexSolver::new();
+        let mut warm = SparseSimplexSolver::new();
         let lp0 = build(&rows, extra_row);
         let w0 = warm.solve(&lp0).expect_optimal().objective;
-        let c0 = solve(&lp0).expect_optimal().objective;
+        let c0 = solve_dense(&lp0).expect_optimal().objective;
         prop_assert!((w0 - c0).abs() < 1e-6 * (1.0 + c0.abs()));
         let mut same_shape_steps = 0u64;
         for &(kind, idx, factor) in &steps {
@@ -160,8 +165,7 @@ proptest! {
                     let i = idx % rows.len();
                     rows[i].0[idx % 3] *= factor;
                 }
-                // Structural edit: constraint count changes, so the saved
-                // basis cannot apply and the solver must go cold.
+                // Structural edit: the constraint count changes.
                 _ => extra_row = !extra_row,
             }
             if kind < 2 {
@@ -169,7 +173,7 @@ proptest! {
             }
             let lp = build(&rows, extra_row);
             let w = warm.solve(&lp).expect_optimal().objective;
-            let c = solve(&lp).expect_optimal().objective;
+            let c = solve_dense(&lp).expect_optimal().objective;
             prop_assert!((w - c).abs() < 1e-6 * (1.0 + c.abs()),
                 "warm {w} vs cold {c} after step kind={kind} idx={idx} factor={factor}");
         }

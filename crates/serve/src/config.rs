@@ -4,7 +4,7 @@ use crate::error::ServeError;
 use crate::queue::ShedPolicy;
 use rwc_core::controller::ControllerConfig;
 use rwc_harness::{ChaosPlan, RetryPolicy};
-use rwc_telemetry::{AnalysisMode, FleetConfig, GenMode};
+use rwc_telemetry::{FleetConfig, GenMode};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -23,18 +23,16 @@ pub struct ServeCheckpointConfig {
 /// Everything the daemon needs to own a fleet.
 ///
 /// Determinism contract: the pipeline result (accumulator + pipeline
-/// metrics) is a pure function of `(fleet, controller, mode, gen_mode)` —
+/// metrics) is a pure function of `(fleet, controller, gen_mode)` —
 /// shard count, queue sizing, shedding, restarts and resume cycles never
 /// change a result byte, only the `serve.*` operational counters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The deterministic fleet the daemon serves.
     pub fleet: FleetConfig,
-    /// Fused or legacy per-link analysis.
-    pub mode: AnalysisMode,
     /// Legacy (serial) or batch (counter-based) trace generation. Part of
     /// the determinism contract: results are pure in `(fleet, controller,
-    /// mode, gen_mode)`, and shard checkpoints fingerprint the pair.
+    /// gen_mode)`, and shard checkpoints fingerprint it.
     pub gen_mode: GenMode,
     /// Controller tuning; its `table` is the ladder every link is
     /// analysed and decided against.
@@ -76,7 +74,6 @@ impl ServeConfig {
     pub fn for_fleet(fleet: FleetConfig) -> Self {
         Self {
             fleet,
-            mode: AnalysisMode::Fused,
             gen_mode: GenMode::default(),
             controller: ControllerConfig::default(),
             n_shards: 4,

@@ -47,7 +47,7 @@ use rwc_harness::{
     SweepFingerprint,
 };
 use rwc_obs::{Event, MetricsObserver, MetricsSnapshot, Observer};
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, GenMode};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -161,18 +161,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Combined `(analysis mode, generation mode)` checkpoint fingerprint
-/// label. Legacy-generation labels keep their historical spelling so
-/// pre-batch shard checkpoints still resume.
-fn mode_label(mode: AnalysisMode, gen_mode: GenMode) -> &'static str {
-    match (mode, gen_mode) {
-        (AnalysisMode::Fused, GenMode::Legacy) => "fused",
-        (AnalysisMode::Legacy, GenMode::Legacy) => "legacy",
-        (AnalysisMode::Fused, GenMode::Batch) => "fused+batchgen",
-        (AnalysisMode::Legacy, GenMode::Batch) => "legacy+batchgen",
     }
 }
 
@@ -481,7 +469,7 @@ impl Daemon {
             n_links: n_links as u64,
             chunk_size: 1,
             seed: cfg.fleet.seed,
-            mode: mode_label(cfg.mode, cfg.gen_mode).into(),
+            mode: rwc_harness::mode_label(cfg.gen_mode).into(),
         };
         let stores = match &cfg.checkpoint {
             None => Vec::new(),

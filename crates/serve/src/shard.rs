@@ -12,7 +12,7 @@ use crate::config::ServeConfig;
 use rwc_core::controller::{Controller, Decision};
 use rwc_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use rwc_optics::Modulation;
-use rwc_telemetry::{AnalysisMode, FleetAccumulator, FleetGenerator, FleetKernel, LinkAnalysis};
+use rwc_telemetry::{FleetAccumulator, FleetGenerator, FleetKernel};
 use rwc_topology::wan::LinkId;
 use rwc_util::time::SimTime;
 use std::sync::Arc;
@@ -49,10 +49,7 @@ pub(crate) fn process_link(
     let obs = Arc::new(MetricsObserver::new());
     kernel.set_observer(obs.clone());
     let table = &cfg.controller.table;
-    let analysis = match cfg.mode {
-        AnalysisMode::Fused => kernel.analyze_generated(gen, link, table),
-        AnalysisMode::Legacy => LinkAnalysis::new(&gen.link(link).trace, table),
-    };
+    let analysis = kernel.analyze_generated(gen, link, table);
     // The run/walk/crawl decision at the link's observed feasibility
     // floor, from the fleet's static 100 G default. `decide` is `&self`
     // over untouched link state, so the outcome is a pure function of the
@@ -122,7 +119,7 @@ mod tests {
         };
         let (acc, metrics) = batch_reference(&cfg);
         let gen = FleetGenerator::new(cfg.fleet.clone()).with_gen_mode(cfg.gen_mode);
-        let plain = gen.fleet_analysis_with(&cfg.controller.table, cfg.mode);
+        let plain = gen.reference_fleet_analysis(&cfg.controller.table);
         assert_eq!(
             serde_json::to_string(&acc).unwrap(),
             serde_json::to_string(&plain).unwrap(),

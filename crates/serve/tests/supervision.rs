@@ -41,8 +41,7 @@ fn tiny_config(seed: u64) -> ServeConfig {
 }
 
 fn tmp_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("rwc_serve_{tag}_{}_{seed}", std::process::id()));
+    let dir = rwc_harness::unique_temp_path(&format!("serve_{tag}_{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

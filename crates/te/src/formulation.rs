@@ -1,10 +1,10 @@
 //! The TE objective zoo: one formulation layer, many objectives.
 //!
-//! PR 9's sparse revised simplex gave the TE layer one *backend* with two
-//! lowerings (`build_lp` / `build_sparse_lp`); this module generalises the
-//! pair into a [`TeFormulation`] that owns, per [`TeObjective`]:
+//! A [`TeFormulation`] owns, per [`TeObjective`]:
 //!
-//! - the **variable/row layout** of both the dense and the sparse LP,
+//! - the **variable/row layout** of the sparse LP the [`crate::TeSolver`]
+//!   solves (and of the dense LP the reference oracle
+//!   [`TeFormulation::solve_reference`] solves),
 //!   chosen to stay *augmentation-stable* where the objective permits it
 //!   (fake-edge columns and capacity rows strictly appended, scalar
 //!   columns pinned at index 0) so the revised simplex's structural warm
@@ -12,7 +12,8 @@
 //! - the **translation back** from an LP point to a [`TeSolution`] (plus
 //!   objective-specific extras in [`TeSolve`]);
 //! - **deterministic tie-breaking** so the translated upgrade/reduction
-//!   sets are backend-independent (see `build_sparse_lp`'s epsilon note).
+//!   sets agree between the sparse engine and the dense reference (see
+//!   `fake_tie_break`).
 //!
 //! The objectives:
 //!
@@ -34,7 +35,7 @@ use crate::problem::{EdgeOrigin, TeProblem, TeSolution};
 use crate::TeError;
 use rwc_flow::network::FlowNetwork;
 use rwc_lp::model::{LinearProgram, LpBuilder, Relation};
-use rwc_lp::simplex::{LpOutcome, Solution};
+use rwc_lp::{LpOutcome, Solution};
 use rwc_lp::{SparseLp, SparseLpBuilder};
 use rwc_topology::wan::LinkId;
 use std::collections::BTreeMap;
@@ -105,14 +106,30 @@ pub struct TeSolve {
     pub lambda: Option<f64>,
     /// Links whose fake capacity slices the optimum leaves unused in both
     /// directions — safely deletable ([`TeObjective::CapacityReduction`]).
-    /// Sorted ascending, deterministic across backends (the fake-edge
+    /// Sorted ascending, deterministic across engines (the fake-edge
     /// objective epsilon breaks co-optimal ties the same way everywhere).
     pub reductions: Option<Vec<LinkId>>,
 }
 
-/// A TE objective plus the lowering knobs: builds both LP backends' inputs
-/// and translates their outputs back. Stateless — solvers own the simplex
-/// engines, the formulation owns the shapes.
+impl TeSolve {
+    /// The result for a problem with no commodities: nothing routed.
+    pub fn empty(problem: &TeProblem) -> Self {
+        TeSolve {
+            solution: TeSolution {
+                routed: vec![],
+                edge_flows: vec![0.0; problem.net.n_edges()],
+                total: 0.0,
+            },
+            mlu: None,
+            lambda: None,
+            reductions: None,
+        }
+    }
+}
+
+/// A TE objective plus the lowering knobs: builds the LP inputs and
+/// translates the solver's outputs back. Stateless — solvers own the
+/// simplex engine, the formulation owns the shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TeFormulation {
     /// The objective to lower.
@@ -200,9 +217,21 @@ impl TeFormulation {
         h
     }
 
+    /// Solves `problem` cold on the dense tableau
+    /// ([`rwc_lp::simplex::solve_dense`]) through the commodity-major dense
+    /// lowering — the reference oracle the sparse [`crate::TeSolver`] is
+    /// checked against. No production path calls it.
+    pub fn solve_reference(&self, problem: &TeProblem) -> Result<TeSolve, TeError> {
+        if problem.commodities.is_empty() {
+            return Ok(TeSolve::empty(problem));
+        }
+        let lowered = self.lower(problem)?;
+        lowered.extract_dense(rwc_lp::simplex::solve_dense(&lowered.dense_lp()))
+    }
+
     /// Lowers the problem: resolves min-MLU envelopes, expands the Fig. 8
     /// gadget for [`TeObjective::Unsplittable`], and returns a handle that
-    /// builds either backend's LP and translates its outcome back.
+    /// builds the LP and translates its outcome back.
     pub fn lower<'p>(&self, problem: &'p TeProblem) -> Result<LoweredTe<'p>, TeError> {
         self.validate()?;
         let kind = match &self.objective {
@@ -265,8 +294,9 @@ enum LoweredKind {
     ConcurrentFlow,
 }
 
-/// A problem lowered under one objective: builds the dense or sparse LP
-/// and translates the solver's outcome back to the original problem.
+/// A problem lowered under one objective: builds the sparse LP (or the
+/// reference's dense one) and translates the solver's outcome back to the
+/// original problem.
 #[derive(Debug)]
 pub struct LoweredTe<'p> {
     problem: &'p TeProblem,
@@ -294,9 +324,10 @@ impl LoweredTe<'_> {
         }
     }
 
-    /// Lowers to the dense tableau form: scalar variables first, then flow
-    /// variables commodity-major at `scalar + ki·m + ei`.
-    pub fn dense_lp(&self) -> LinearProgram {
+    /// Lowers to the dense tableau form of the reference oracle: scalar
+    /// variables first, then flow variables commodity-major at
+    /// `scalar + ki·m + ei`.
+    fn dense_lp(&self) -> LinearProgram {
         let rp = self.routing_problem();
         match &self.kind {
             LoweredKind::Throughput { .. } => dense_throughput(rp, self.weight),
@@ -320,19 +351,10 @@ impl LoweredTe<'_> {
         }
     }
 
-    /// Translates a dense-backend outcome back to the original problem.
-    pub fn extract_dense(&self, outcome: LpOutcome) -> Result<TeSolve, TeError> {
-        self.extract_dense_as(outcome, self.name)
-    }
-
-    /// [`LoweredTe::extract_dense`] with an explicit algorithm name in
-    /// error contexts — for front-ends (the deprecated `ExactTe` shims)
-    /// that report under their own name.
-    pub fn extract_dense_as(
-        &self,
-        outcome: LpOutcome,
-        algorithm: &'static str,
-    ) -> Result<TeSolve, TeError> {
+    /// Translates a commodity-major (dense-layout) outcome back to the
+    /// original problem.
+    fn extract_dense(&self, outcome: LpOutcome) -> Result<TeSolve, TeError> {
+        let algorithm = self.name;
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let m = rp.net.n_edges();
@@ -372,23 +394,13 @@ impl LoweredTe<'_> {
         Ok(TeSolve { solution, mlu, lambda, reductions })
     }
 
-    /// Translates a sparse-backend outcome: reorders the edge-major point
-    /// into the dense commodity-major layout, then extracts identically.
+    /// Translates a sparse outcome: reorders the edge-major point into the
+    /// dense commodity-major layout, then extracts identically.
     pub fn extract_sparse(&self, outcome: LpOutcome) -> Result<TeSolve, TeError> {
-        self.extract_sparse_as(outcome, self.name)
-    }
-
-    /// [`LoweredTe::extract_sparse`] with an explicit algorithm name in
-    /// error contexts.
-    pub fn extract_sparse_as(
-        &self,
-        outcome: LpOutcome,
-        algorithm: &'static str,
-    ) -> Result<TeSolve, TeError> {
         let rp = self.routing_problem();
         let k = rp.commodities.len();
         let m = rp.net.n_edges();
-        self.extract_dense_as(remap_edge_major(outcome, self.scalar_vars(), k, m), algorithm)
+        self.extract_dense(remap_edge_major(outcome, self.scalar_vars(), k, m))
     }
 }
 
@@ -449,10 +461,10 @@ fn deletable_links(problem: &TeProblem, edge_flows: &[f64]) -> Vec<LinkId> {
 }
 
 // ---------------------------------------------------------------------------
-// Dense lowerings (the tableau escape hatch; row order is free).
+// Dense lowerings (the reference oracle's input; row order is free).
 // ---------------------------------------------------------------------------
 
-/// The original `build_lp` shape: flow variables at `ki·m + ei`, objective
+/// Max-throughput, dense: flow variables at `ki·m + ei`, objective
 /// `net-outflow·weight − cost`, capacity rows then per-commodity
 /// conservation + demand-cap rows.
 fn dense_throughput(rp: &TeProblem, weight: f64) -> LinearProgram {
@@ -614,10 +626,10 @@ fn push_entry(entries: &mut Vec<(usize, f64)>, row: usize, v: f64) {
     }
 }
 
-/// The deterministic fake-edge tie-break epsilon (see the module docs of
-/// [`crate::exact`] for the full rationale): prefers earlier-appended fake
-/// edges among cost-tied optima so translated upgrade/reduction sets are
-/// backend-independent.
+/// The deterministic fake-edge tie-break epsilon: prefers
+/// earlier-appended fake edges among cost-tied optima (Fig. 7's
+/// one-upgrade tie, for instance), so translated upgrade/reduction sets do
+/// not depend on which co-optimal vertex an engine lands on.
 fn fake_tie_break(rp: &TeProblem, ei: usize) -> f64 {
     match rp.origins.get(ei) {
         Some(EdgeOrigin::Fake { .. }) => 1e-6 * ei as f64,
@@ -663,9 +675,12 @@ fn push_flow_col(
     b.push_col(objective, upper, &entries);
 }
 
-/// The original `build_sparse_lp` shape (see [`crate::exact`]'s docs):
-/// edge-major columns, `[conservation][demand][capacity (k>1)]` rows,
-/// single-commodity capacities as column bounds.
+/// Max-throughput, sparse: edge-major columns,
+/// `[conservation][demand][capacity (k>1)]` rows, single-commodity
+/// capacities as column bounds. Fake columns and capacity rows append
+/// strictly at the end, so the structural warm key holds across
+/// dirty-link rounds; the layout is pinned by
+/// `max_throughput_lowering_matches_golden_digest`.
 fn sparse_throughput(rp: &TeProblem, weight: f64) -> SparseLp {
     let net = &rp.net;
     let k = rp.commodities.len();
@@ -993,7 +1008,6 @@ mod tests {
     use super::*;
     use crate::demand::{DemandMatrix, Priority};
     use crate::solver::TeSolver;
-    use rwc_lp::LpBackend;
     use rwc_topology::builders;
     use rwc_util::units::Gbps;
 
@@ -1017,21 +1031,15 @@ mod tests {
         p.origins.push(EdgeOrigin::Fake { link: LinkId(link), forward });
     }
 
+    /// The sparse `TeSolver` result and the dense reference's.
     fn solve_both(objective: TeObjective, p: &TeProblem) -> (TeSolve, TeSolve) {
         let sparse = TeSolver::builder()
             .objective(objective.clone())
-            .backend(LpBackend::Sparse)
             .build()
             .unwrap()
             .solve_detailed(p)
             .unwrap();
-        let dense = TeSolver::builder()
-            .objective(objective)
-            .backend(LpBackend::Dense)
-            .build()
-            .unwrap()
-            .solve_detailed(p)
-            .unwrap();
+        let dense = TeFormulation::new(objective).solve_reference(p).unwrap();
         (sparse, dense)
     }
 
@@ -1177,7 +1185,7 @@ mod tests {
         assert!((s.solution.total - d.solution.total).abs() < 1e-6);
         let sr = s.reductions.unwrap();
         let dr = d.reductions.unwrap();
-        assert_eq!(sr, dr, "reduction sets must be backend-independent");
+        assert_eq!(sr, dr, "reduction sets must not depend on the engine");
         // 150 fits through A's 200-capacity cut without either slice —
         // costs push flow off the fakes, so both slices are deletable.
         assert_eq!(sr, vec![LinkId(0), LinkId(4)]);
@@ -1194,7 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn every_objective_agrees_across_backends_on_fig7() {
+    fn every_objective_agrees_with_reference_on_fig7() {
         let p = fig7_two_commodities();
         let objectives = [
             TeObjective::MaxThroughput,
@@ -1273,22 +1281,50 @@ mod tests {
         assert!(matches!(wrong_k.lower(&p), Err(TeError::InvalidConfig { .. })));
     }
 
+    /// FNV-1a 64 over a sparse LP's column pattern hashes, matrix values,
+    /// objective, rhs, upper bounds and row relations.
+    fn lowering_digest(lp: &SparseLp) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for c in lp.column_pattern_hashes() {
+            eat(c);
+        }
+        for v in lp.a.values.iter().chain(&lp.objective).chain(&lp.rhs).chain(&lp.upper) {
+            eat(v.to_bits());
+        }
+        for r in &lp.rel {
+            eat(*r as u64);
+        }
+        h
+    }
+
     #[test]
-    fn max_throughput_lowering_matches_legacy_builders() {
-        // The formulation's MaxThroughput shape must be *identical* to the
-        // PR-9 `build_lp`/`build_sparse_lp` output — warm-start keys and
-        // the committed perf baselines depend on it.
+    fn max_throughput_lowering_matches_golden_digest() {
+        // The MaxThroughput sparse layout must not move: warm-start keys,
+        // round-engine memo keys and the committed perf baselines depend
+        // on it. The digests were recorded from the original standalone
+        // max-throughput builder.
         let mut p = fig7_two_commodities();
         add_fake(&mut p, 0, true, 50.0, 2.0);
-        let lowered = TeFormulation::default().lower(&p).unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(lowered.dense_lp(), crate::exact::build_lp(&p, 1e6));
-            let a = lowered.sparse_lp();
-            let b = crate::exact::build_sparse_lp(&p, 1e6);
-            assert_eq!(a.objective, b.objective);
-            assert_eq!(a.rhs, b.rhs);
-            assert_eq!(a.upper, b.upper);
-        }
+        let lp = TeFormulation::default().lower(&p).unwrap().sparse_lp();
+        assert_eq!((lp.n_vars(), lp.n_rows(), lp.a.nnz()), (18, 15, 45));
+        assert_eq!(lowering_digest(&lp), 0x9822_deed_86bc_f749);
+        // Single commodity: capacities become column bounds, no
+        // capacity rows.
+        let wan = builders::fig7_example();
+        let a = wan.node_by_name("A").unwrap();
+        let b = wan.node_by_name("B").unwrap();
+        let mut dm = DemandMatrix::new();
+        dm.add(a, b, Gbps(300.0), Priority::Elastic);
+        let mut q = TeProblem::from_wan(&wan, &dm);
+        add_fake(&mut q, 0, true, 100.0, 1.0);
+        let lp = TeFormulation::default().lower(&q).unwrap().sparse_lp();
+        assert_eq!((lp.n_vars(), lp.n_rows(), lp.a.nnz()), (9, 3, 13));
+        assert_eq!(lowering_digest(&lp), 0xd1e8_e770_7f76_dcf2);
     }
 }

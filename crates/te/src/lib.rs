@@ -17,11 +17,9 @@
 //! - [`formulation`]: the TE objective zoo — max-throughput, TROD-style
 //!   min-MLU over traffic-matrix envelopes, max-concurrent-flow fairness,
 //!   the paper's Fig. 8 unsplittable gadget, and capacity reduction —
-//!   each lowered to both LP backends;
+//!   each lowered to the sparse LP (and to the dense reference oracle);
 //! - [`solver`]: the unified [`solver::TeSolver`] front-end (builder,
 //!   warm-start policy, watchdog, observer) over the whole zoo;
-//! - [`exact`]: the legacy LP-exact entry points, now deprecated shims
-//!   over [`formulation`]/[`solver`];
 //! - [`demand`]: demand matrices and a gravity-model generator;
 //! - [`problem`]: the topology→flow-network bridge all solvers share;
 //! - [`updates`]: a consistent-update planner for draining links whose
@@ -34,7 +32,6 @@
 pub mod b4;
 pub mod cspf;
 pub mod demand;
-pub mod exact;
 pub mod formulation;
 pub mod metrics;
 pub mod problem;
@@ -128,7 +125,7 @@ pub trait TeAlgorithm {
         None
     }
     /// Fingerprint of everything beyond the algorithm *name* that changes
-    /// what a solve means — objective, weights, backend. The round
+    /// what a solve means — objective, weights, traffic matrices. The round
     /// engine's memo key folds this in so cached solutions never leak
     /// across differently-configured solvers sharing a name. Algorithms
     /// with exactly one configuration keep the default `0`.

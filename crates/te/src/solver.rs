@@ -1,19 +1,15 @@
 //! The unified TE solver front-end.
 //!
-//! [`TeSolver::builder()`] replaces the scattered PR-3/PR-9 configuration
-//! dance (`ExactTe.backend` field pokes, the `IncrementalExactTe::with_backend`
-//! / `set_solve_timeout` / `set_observer` call sequences) with one
-//! validating builder:
+//! [`TeSolver::builder()`] collects the whole configuration (objective,
+//! weight, watchdog, warm-start policy, observer) and validates it once:
 //!
 //! ```
 //! use rwc_te::solver::{TeSolver, WarmStartPolicy};
 //! use rwc_te::formulation::TeObjective;
-//! use rwc_lp::LpBackend;
 //! use std::time::Duration;
 //!
 //! let solver = TeSolver::builder()
 //!     .objective(TeObjective::MaxConcurrentFlow)
-//!     .backend(LpBackend::Sparse)
 //!     .solve_timeout(Duration::from_secs(5))
 //!     .warm_start(WarmStartPolicy::Retain)
 //!     .build()
@@ -21,16 +17,16 @@
 //! assert_eq!(rwc_te::TeAlgorithm::name(&solver), "exact-lp:max-concurrent-flow");
 //! ```
 //!
-//! One `TeSolver` owns both simplex engines (dense tableau + sparse
-//! revised) and the warm-start state that persists across `try_solve`
-//! calls, exactly like the deprecated `IncrementalExactTe` — plus the
-//! whole objective zoo of [`crate::formulation`].
+//! One `TeSolver` owns one sparse revised-simplex engine
+//! ([`SparseSimplexSolver`]) and the warm-start state that persists
+//! across `try_solve` calls, over the whole objective zoo of
+//! [`crate::formulation`]. The dense tableau survives only as the
+//! reference oracle behind [`TeFormulation::solve_reference`].
 
 use crate::formulation::{TeFormulation, TeObjective, TeSolve};
 use crate::problem::{TeProblem, TeSolution};
 use crate::{TeAlgorithm, TeError};
-use rwc_lp::simplex::{LpBackend, SimplexSolver, SolverStats};
-use rwc_lp::SparseSimplexSolver;
+use rwc_lp::{SolverStats, SparseSimplexSolver};
 use rwc_obs::{Event, Observer};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -53,7 +49,6 @@ pub enum WarmStartPolicy {
 #[derive(Debug, Clone)]
 pub struct TeSolverBuilder {
     objective: TeObjective,
-    backend: LpBackend,
     throughput_weight: f64,
     solve_timeout: Option<Duration>,
     warm_start: WarmStartPolicy,
@@ -64,7 +59,6 @@ impl Default for TeSolverBuilder {
     fn default() -> Self {
         Self {
             objective: TeObjective::MaxThroughput,
-            backend: LpBackend::default(),
             throughput_weight: 1e6,
             solve_timeout: None,
             warm_start: WarmStartPolicy::Retain,
@@ -77,12 +71,6 @@ impl TeSolverBuilder {
     /// Sets the objective (default [`TeObjective::MaxThroughput`]).
     pub fn objective(mut self, objective: TeObjective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Sets the LP backend (default sparse revised simplex).
-    pub fn backend(mut self, backend: LpBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -124,10 +112,8 @@ impl TeSolverBuilder {
         formulation.validate()?;
         let solver = TeSolver {
             formulation,
-            backend: self.backend,
             warm_start: self.warm_start,
             solver: RefCell::default(),
-            sparse_solver: RefCell::default(),
             obs: self.observer,
         };
         solver.set_solve_timeout(self.solve_timeout);
@@ -135,15 +121,13 @@ impl TeSolverBuilder {
     }
 }
 
-/// The unified TE solver: one objective, one backend, persistent
-/// warm-start state, optional observer and watchdog.
+/// The unified TE solver: one objective, one sparse simplex engine,
+/// persistent warm-start state, optional observer and watchdog.
 #[derive(Debug)]
 pub struct TeSolver {
     formulation: TeFormulation,
-    backend: LpBackend,
     warm_start: WarmStartPolicy,
-    solver: RefCell<SimplexSolver>,
-    sparse_solver: RefCell<SparseSimplexSolver>,
+    solver: RefCell<SparseSimplexSolver>,
     obs: Arc<dyn Observer>,
 }
 
@@ -155,7 +139,7 @@ impl Default for TeSolver {
 
 impl TeSolver {
     /// Starts a builder with the defaults: max-throughput objective,
-    /// sparse backend, weight `1e6`, no watchdog, warm starts retained.
+    /// weight `1e6`, no watchdog, warm starts retained.
     pub fn builder() -> TeSolverBuilder {
         TeSolverBuilder::default()
     }
@@ -165,28 +149,20 @@ impl TeSolver {
         &self.formulation.objective
     }
 
-    /// The LP backend this solver runs.
-    pub fn backend(&self) -> LpBackend {
-        self.backend
-    }
-
     /// The formulation (objective + weight) this solver lowers through.
     pub fn formulation(&self) -> &TeFormulation {
         &self.formulation
     }
 
-    /// Re-arms (or disarms, with `None`) the solve-deadline watchdog on
-    /// both simplex engines.
+    /// Re-arms (or disarms, with `None`) the solve-deadline watchdog.
     pub fn set_solve_timeout(&self, timeout: Option<Duration>) {
         self.solver.borrow_mut().set_solve_timeout(timeout);
-        self.sparse_solver.borrow_mut().set_solve_timeout(timeout);
     }
 
     /// Chaos hook: sleeps this long before every simplex pivot, forcing a
     /// slow solve so watchdog behaviour can be driven deterministically.
     pub fn set_pivot_delay(&self, delay: Option<Duration>) {
         self.solver.borrow_mut().set_pivot_delay(delay);
-        self.sparse_solver.borrow_mut().set_pivot_delay(delay);
     }
 
     /// Replaces the observer after construction.
@@ -211,51 +187,22 @@ impl TeSolver {
     /// reduction sets) alongside the [`TeSolution`].
     pub fn solve_detailed(&self, problem: &TeProblem) -> Result<TeSolve, TeError> {
         if problem.commodities.is_empty() {
-            return Ok(TeSolve {
-                solution: TeSolution {
-                    routed: vec![],
-                    edge_flows: vec![0.0; problem.net.n_edges()],
-                    total: 0.0,
-                },
-                mlu: None,
-                lambda: None,
-                reductions: None,
-            });
+            return Ok(TeSolve::empty(problem));
         }
         let lowered = self.formulation.lower(problem)?;
-        let enabled = self.obs.enabled();
-        match self.backend {
-            LpBackend::Dense => {
-                let lp = lowered.dense_lp();
-                let mut solver = self.solver.borrow_mut();
-                if self.warm_start == WarmStartPolicy::AlwaysCold {
-                    solver.reset();
-                }
-                let before = enabled.then(|| solver.stats());
-                let outcome = solver.solve(&lp);
-                if let Some(before) = before {
-                    let after = solver.stats();
-                    drop(solver);
-                    self.publish_solve(before, after);
-                }
-                lowered.extract_dense(outcome)
-            }
-            LpBackend::Sparse => {
-                let sp = lowered.sparse_lp();
-                let mut solver = self.sparse_solver.borrow_mut();
-                if self.warm_start == WarmStartPolicy::AlwaysCold {
-                    solver.reset();
-                }
-                let before = enabled.then(|| solver.stats());
-                let outcome = solver.solve_sparse(&sp);
-                if let Some(before) = before {
-                    let after = solver.stats();
-                    drop(solver);
-                    self.publish_solve(before, after);
-                }
-                lowered.extract_sparse(outcome)
-            }
+        let sp = lowered.sparse_lp();
+        let mut solver = self.solver.borrow_mut();
+        if self.warm_start == WarmStartPolicy::AlwaysCold {
+            solver.reset();
         }
+        let before = self.obs.enabled().then(|| solver.stats());
+        let outcome = solver.solve_sparse(&sp);
+        if let Some(before) = before {
+            let after = solver.stats();
+            drop(solver);
+            self.publish_solve(before, after);
+        }
+        lowered.extract_sparse(outcome)
     }
 
     /// Publishes the delta between two [`SolverStats`] readings.
@@ -295,20 +242,11 @@ impl TeAlgorithm for TeSolver {
     }
 
     fn warm_stats(&self) -> Option<SolverStats> {
-        Some(match self.backend {
-            LpBackend::Dense => self.solver.borrow().stats(),
-            LpBackend::Sparse => self.sparse_solver.borrow().stats(),
-        })
+        Some(self.solver.borrow().stats())
     }
 
     fn solve_fingerprint(&self) -> u64 {
-        // Backend folded in because warm/cold vertices of co-optimal LPs
-        // may differ between backends; memoized baselines must not leak
-        // across them.
-        self.formulation.fingerprint() ^ match self.backend {
-            LpBackend::Dense => 0x9e37_79b9_7f4a_7c15,
-            LpBackend::Sparse => 0,
-        }
+        self.formulation.fingerprint()
     }
 }
 
@@ -329,13 +267,46 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_legacy_exact_te() {
+    fn builder_defaults_pin_fig7_solution() {
+        // The exact solution the default solver has always produced on
+        // Fig. 7 (A's outgoing cut of 200 saturated), pinned byte for
+        // byte so a change of vertex shows up here first.
         let p = fig7_problem(300.0);
-        let new = TeSolver::default().solve(&p);
-        #[allow(deprecated)]
-        let old = crate::exact::ExactTe::default().solve(&p);
-        assert_eq!(new, old, "default TeSolver must reproduce ExactTe exactly");
-        assert!((new.total - 200.0).abs() < 1e-6);
+        let expected = TeSolution {
+            routed: vec![200.0],
+            edge_flows: vec![100.0, 0.0, 100.0, 0.0, 100.0, 0.0, 0.0, 100.0],
+            total: 200.0,
+        };
+        assert_eq!(TeSolver::default().solve(&p), expected);
+        expected.validate(&p).unwrap();
+    }
+
+    #[test]
+    fn solver_matches_reference_and_bounds_heuristics() {
+        // Two competing commodities: the LP optimum matches the dense
+        // reference and dominates every heuristic.
+        let wan = builders::fig7_example();
+        let node = |n: &str| wan.node_by_name(n).unwrap();
+        let mut dm = DemandMatrix::new();
+        dm.add(node("A"), node("B"), Gbps(125.0), Priority::Elastic);
+        dm.add(node("C"), node("D"), Gbps(125.0), Priority::Elastic);
+        dm.add(node("B"), node("C"), Gbps(40.0), Priority::Elastic);
+        let p = TeProblem::from_wan(&wan, &dm);
+        let exact = TeSolver::default().solve(&p);
+        exact.validate(&p).unwrap();
+        let reference = TeFormulation::default().solve_reference(&p).unwrap().solution;
+        assert!((exact.total - reference.total).abs() < 1e-6);
+        let swan = crate::swan::SwanTe::default().solve(&p);
+        assert!(exact.total >= swan.total - 1e-6, "{} vs swan {}", exact.total, swan.total);
+    }
+
+    #[test]
+    fn demand_caps_and_empty_problems() {
+        let routed = TeSolver::default().solve(&fig7_problem(30.0));
+        assert!((routed.routed[0] - 30.0).abs() < 1e-6);
+        let wan = builders::fig7_example();
+        let empty = TeProblem::from_wan(&wan, &DemandMatrix::new());
+        assert_eq!(TeSolver::default().solve(&empty).total, 0.0);
     }
 
     #[test]
@@ -383,13 +354,16 @@ mod tests {
         let p = fig7_problem(300.0);
         for objective in [TeObjective::MaxThroughput, TeObjective::MaxConcurrentFlow] {
             let name = objective.algorithm_name();
-            let solver = TeSolver::builder().objective(objective).build().unwrap();
+            let metrics = Arc::new(rwc_obs::MetricsObserver::new());
+            let solver =
+                TeSolver::builder().objective(objective).observer(metrics.clone()).build().unwrap();
             solver.set_solve_timeout(Some(Duration::ZERO));
             solver.set_pivot_delay(Some(Duration::from_millis(10)));
             match solver.try_solve(&p) {
                 Err(TeError::SolverTimeout { algorithm, .. }) => assert_eq!(algorithm, name),
                 other => panic!("{name}: expected SolverTimeout, got {other:?}"),
             }
+            assert!(metrics.snapshot().counters["lp.watchdog_aborts"] >= 1, "{name}");
             solver.set_solve_timeout(None);
             solver.set_pivot_delay(None);
             solver.try_solve(&p).expect("solves after disarm");
@@ -412,14 +386,15 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_depend_on_objective_and_backend() {
+    fn fingerprints_depend_on_objective() {
         let a = TeSolver::builder().build().unwrap();
-        let b = TeSolver::builder().backend(LpBackend::Dense).build().unwrap();
         let c = TeSolver::builder().objective(TeObjective::MaxConcurrentFlow).build().unwrap();
-        assert_ne!(a.solve_fingerprint(), b.solve_fingerprint());
         assert_ne!(a.solve_fingerprint(), c.solve_fingerprint());
-        // Stateless heuristics keep the default 0.
+        // The memo key is the formulation's own fingerprint, unsalted.
+        assert_eq!(a.solve_fingerprint(), TeFormulation::default().fingerprint());
+        // Stateless heuristics keep the default 0 and report no warm stats.
         assert_eq!(crate::swan::SwanTe::default().solve_fingerprint(), 0);
+        assert!(crate::swan::SwanTe::default().warm_stats().is_none());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::analysis::{FleetAccumulator, LinkAnalysis};
 use crate::events::{Event, EventKind, EventLog};
-use crate::kernel::{AnalysisMode, FleetKernel};
+use crate::kernel::FleetKernel;
 use crate::process::{BatchScratch, SnrProcess};
 use crate::trace::SnrTrace;
 use rwc_optics::ModulationTable;
@@ -465,32 +465,23 @@ impl FleetGenerator {
     /// [`FleetAccumulator`] on the fused fast path (one reused sample
     /// buffer, never a materialised trace).
     pub fn fleet_analysis(&self, table: &ModulationTable) -> FleetAccumulator {
-        self.fleet_analysis_with(table, AnalysisMode::Fused)
+        let mut acc = FleetAccumulator::new();
+        let mut kernel = FleetKernel::new();
+        for link_id in 0..self.n_links() {
+            acc.push(&kernel.analyze_generated(self, link_id, table));
+        }
+        acc
     }
 
-    /// [`fleet_analysis`](Self::fleet_analysis) with an explicit analysis
-    /// path — `AnalysisMode::Legacy` re-runs the original per-trace
-    /// pipeline (the `--legacy-analysis` escape hatch). Both modes produce
-    /// byte-identical accumulators.
-    pub fn fleet_analysis_with(
-        &self,
-        table: &ModulationTable,
-        mode: AnalysisMode,
-    ) -> FleetAccumulator {
+    /// The reference oracle for [`fleet_analysis`](Self::fleet_analysis):
+    /// materialises each link's [`SnrTrace`] and runs
+    /// [`LinkAnalysis::new`] on it. Byte-identical to the fused kernel by
+    /// construction; the equivalence suites compare the two. No
+    /// production path calls it.
+    pub fn reference_fleet_analysis(&self, table: &ModulationTable) -> FleetAccumulator {
         let mut acc = FleetAccumulator::new();
-        match mode {
-            AnalysisMode::Fused => {
-                let mut kernel = FleetKernel::new();
-                for link_id in 0..self.n_links() {
-                    acc.push(&kernel.analyze_generated(self, link_id, table));
-                }
-            }
-            AnalysisMode::Legacy => {
-                for link_id in 0..self.n_links() {
-                    let link = self.link(link_id);
-                    acc.push(&LinkAnalysis::new(&link.trace, table));
-                }
-            }
+        for link_id in 0..self.n_links() {
+            acc.push(&LinkAnalysis::new(&self.link(link_id).trace, table));
         }
         acc
     }
@@ -711,8 +702,8 @@ mod tests {
         // materialised batch trace.
         let g = small_gen().with_gen_mode(GenMode::Batch);
         let table = ModulationTable::paper_default();
-        let fused = g.fleet_analysis_with(&table, AnalysisMode::Fused);
-        let legacy = g.fleet_analysis_with(&table, AnalysisMode::Legacy);
+        let fused = g.fleet_analysis(&table);
+        let legacy = g.reference_fleet_analysis(&table);
         assert_eq!(
             serde_json::to_string(&fused).unwrap(),
             serde_json::to_string(&legacy).unwrap(),

@@ -28,9 +28,9 @@
 //! **bit-identical** to [`LinkAnalysis::new`] — pinned by tests here and
 //! by the byte-identity proptests in `tests/kernel_equivalence.rs`.
 //!
-//! [`AnalysisMode`] is the escape hatch: every fleet-path caller threads
-//! it through so `--legacy-analysis` can re-run any experiment on the
-//! original per-trace path.
+//! [`LinkAnalysis::new`] over a materialised trace stays the reference
+//! oracle ([`FleetGenerator::reference_fleet_analysis`]); no production
+//! path runs it on the fleet.
 
 use crate::analysis::{FailureEpisode, LinkAnalysis, STATIC_CAPACITY};
 use crate::generator::FleetGenerator;
@@ -43,21 +43,6 @@ use rwc_util::stats::hdi_of_unsorted;
 use rwc_util::time::{SimDuration, SimTime};
 use rwc_util::units::{Db, Gbps};
 use std::sync::Arc;
-
-/// Which per-link analysis path a fleet sweep uses.
-///
-/// `Fused` is the default everywhere; `Legacy` re-runs the original
-/// trace-materialising path (`FleetGenerator::link` + `LinkAnalysis::new`)
-/// and exists so regressions can be bisected and equivalence re-checked at
-/// any time (`repro --legacy-analysis`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisMode {
-    /// Single-pass kernel over streamed samples (the fast path).
-    #[default]
-    Fused,
-    /// Materialise an [`SnrTrace`] per link and run [`LinkAnalysis::new`].
-    Legacy,
-}
 
 /// Reusable scratch state for fused per-link analysis.
 ///

@@ -37,6 +37,6 @@ pub mod trace;
 
 pub use analysis::{FleetAccumulator, LinkAnalysis};
 pub use generator::{FleetConfig, FleetGenerator, GenMode, LinkProfile, LinkTelemetry};
-pub use kernel::{AnalysisMode, FleetKernel};
+pub use kernel::FleetKernel;
 pub use process::{BatchCursor, BatchScratch, SnrCursor, SnrProcess};
 pub use trace::SnrTrace;

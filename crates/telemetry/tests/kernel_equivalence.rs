@@ -1,8 +1,9 @@
-//! Byte-identity of the fused fleet kernel against the legacy path.
+//! Byte-identity of the fused fleet kernel against the reference path.
 //!
 //! The fused kernel ([`rwc_telemetry::FleetKernel`]) promises *bit-for-bit*
-//! the same `LinkAnalysis`/`FleetAccumulator` as the legacy
-//! trace-materialising pipeline. These properties pin that promise on
+//! the same `LinkAnalysis`/`FleetAccumulator` as the reference
+//! trace-materialising pipeline (`LinkAnalysis::new` per trace, or
+//! `FleetGenerator::reference_fleet_analysis` per fleet). These properties pin that promise on
 //! randomized inputs — including loss-of-light floors, all-failing and
 //! never-failing links, and episodes still open at trace end — with
 //! serialized JSON bytes as the equality oracle, so every field (episode
@@ -12,7 +13,7 @@ use proptest::prelude::*;
 use rwc_optics::ModulationTable;
 use rwc_telemetry::analysis::LinkAnalysis;
 use rwc_telemetry::trace::SnrTrace;
-use rwc_telemetry::{AnalysisMode, FleetConfig, FleetGenerator, FleetKernel};
+use rwc_telemetry::{FleetConfig, FleetGenerator, FleetKernel};
 use rwc_util::time::{SimDuration, SimTime};
 
 /// Sample vectors spanning the kernel's episode-geometry edge cases. The
@@ -75,14 +76,14 @@ proptest! {
     }
 
     /// Per-fleet: a generated fleet swept by the fused kernel accumulates
-    /// to the same bytes as the legacy trace path, with the kernel's
+    /// to the same bytes as the reference trace path, with the kernel's
     /// buffers reused across every link of the fleet.
     #[test]
     fn fused_fleet_accumulator_is_byte_identical(cfg in fleet_strategy()) {
         let gen = FleetGenerator::new(cfg);
         let table = ModulationTable::paper_default();
-        let fused = gen.fleet_analysis_with(&table, AnalysisMode::Fused);
-        let legacy = gen.fleet_analysis_with(&table, AnalysisMode::Legacy);
+        let fused = gen.fleet_analysis(&table);
+        let legacy = gen.reference_fleet_analysis(&table);
         prop_assert_eq!(
             serde_json::to_string(&fused).expect("fused serializes"),
             serde_json::to_string(&legacy).expect("legacy serializes")

@@ -29,7 +29,7 @@
 //!
 //! ```rust
 //! use rwc::core::{augment, AugmentConfig, translate, PenaltyPolicy};
-//! use rwc::te::{DemandMatrix, Priority, TeAlgorithm};
+//! use rwc::te::{DemandMatrix, Priority, TeAlgorithm, TeSolver};
 //! use rwc::topology::builders;
 //! use rwc::util::units::{Db, Gbps};
 //!
@@ -52,7 +52,7 @@
 //! // Algorithm 1: augment, hand to an unmodified TE algorithm, translate.
 //! let cfg = AugmentConfig { penalty: PenaltyPolicy::paper_example(), ..Default::default() };
 //! let aug = augment(&wan, &demands, &cfg, &[]);
-//! let solution = rwc::te::exact::ExactTe::default().solve(&aug.problem);
+//! let solution = TeSolver::default().solve(&aug.problem);
 //! let result = translate(&aug, &wan, &solution).expect("translation");
 //!
 //! assert!((solution.total - 250.0).abs() < 1e-6, "all demand routed");
