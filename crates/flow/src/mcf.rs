@@ -96,34 +96,118 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Dijkstra over per-edge lengths; returns (distance, parent edge) arrays.
-fn shortest_path_by_length(
-    n: usize,
-    adj: &[Vec<usize>],
-    edges: &[(usize, usize)],
-    lengths: &[f64],
-    source: usize,
-) -> (Vec<f64>, Vec<Option<usize>>) {
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(Entry { dist: 0.0, node: source });
-    while let Some(Entry { dist: d, node: u }) = heap.pop() {
-        if d > dist[u] * (1.0 + 1e-12) {
-            continue;
+/// The network's adjacency plus Dijkstra buffers reused by every search
+/// of one solve.
+struct Searcher {
+    /// Out-edges per node, in edge-index order; zero-capacity edges are
+    /// left out (no search ever crosses one).
+    adj: Vec<Vec<usize>>,
+    /// Endpoints per edge.
+    ends: Vec<(usize, usize)>,
+    dist: Vec<f64>,
+    parent: Vec<Option<usize>>,
+    heap: BinaryHeap<Entry>,
+    /// Edges of the last path found, sink first.
+    path: Vec<usize>,
+}
+
+impl Searcher {
+    fn new(net: &FlowNetwork) -> Self {
+        let n = net.n_nodes();
+        let mut adj = vec![Vec::new(); n];
+        for (i, e) in net.edges().iter().enumerate() {
+            if e.capacity > EPS {
+                adj[e.from].push(i);
+            }
         }
-        for &ei in &adj[u] {
-            let (_, v) = edges[ei];
-            let nd = d + lengths[ei];
-            if nd < dist[v] - 1e-15 {
-                dist[v] = nd;
-                parent[v] = Some(ei);
-                heap.push(Entry { dist: nd, node: v });
+        Self {
+            adj,
+            ends: net.edges().iter().map(|e| (e.from, e.to)).collect(),
+            dist: vec![f64::INFINITY; n],
+            parent: vec![None; n],
+            heap: BinaryHeap::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Dijkstra from `source`, which starts at distance `start`, over the
+    /// edges `length` admits (`None` skips an edge). Pops the minimum
+    /// distance first and the larger node on ties. Stops as soon as `sink`
+    /// is popped — its distance and every parent on its path are final
+    /// then — or once the popped distance reaches `cutoff`, in which case
+    /// the sink is no closer either. On success `self.path` holds the
+    /// path's edges, sink first.
+    fn shortest_path(
+        &mut self,
+        source: usize,
+        sink: usize,
+        start: f64,
+        cutoff: f64,
+        length: impl Fn(usize) -> Option<f64>,
+    ) -> bool {
+        self.dist.fill(f64::INFINITY);
+        self.parent.fill(None);
+        self.heap.clear();
+        self.path.clear();
+        self.dist[source] = start;
+        self.heap.push(Entry { dist: start, node: source });
+        while let Some(Entry { dist: d, node: u }) = self.heap.pop() {
+            if d >= cutoff {
+                return false;
+            }
+            if d > self.dist[u] * (1.0 + 1e-12) {
+                continue;
+            }
+            if u == sink {
+                let mut v = sink;
+                while v != source {
+                    let ei = self.parent[v].expect("path incomplete");
+                    self.path.push(ei);
+                    v = self.ends[ei].0;
+                }
+                return true;
+            }
+            for &ei in &self.adj[u] {
+                let Some(len) = length(ei) else { continue };
+                let v = self.ends[ei].1;
+                let nd = d + len;
+                if nd < self.dist[v] - 1e-15 {
+                    self.dist[v] = nd;
+                    self.parent[v] = Some(ei);
+                    self.heap.push(Entry { dist: nd, node: v });
+                }
+            }
+        }
+        false
+    }
+
+    /// Greedy water-filling: each commodity in order tops `routed` up
+    /// towards its demand along successive hop-count shortest paths among
+    /// edges with `residual` capacity left.
+    fn water_fill(
+        &mut self,
+        commodities: &[Commodity],
+        residual: &mut [f64],
+        edge_flows: &mut [Vec<f64>],
+        routed: &mut [f64],
+    ) {
+        for (ki, c) in commodities.iter().enumerate() {
+            let mut remaining = c.demand - routed[ki];
+            while remaining > EPS
+                && self.shortest_path(c.source, c.sink, 0.0, f64::INFINITY, |ei| {
+                    (residual[ei] > EPS).then_some(1.0)
+                })
+            {
+                let push = self.path.iter().map(|&ei| residual[ei]).fold(remaining, f64::min);
+                for &ei in &self.path {
+                    residual[ei] -= push;
+                    edge_flows[ki][ei] += push;
+                }
+                routed[ki] += push;
+                remaining -= push;
             }
         }
     }
-    (dist, parent)
 }
 
 /// Garg–Könemann FPTAS for maximum total multicommodity throughput with
@@ -131,6 +215,12 @@ fn shortest_path_by_length(
 ///
 /// `epsilon` trades accuracy for speed (0.05–0.15 is typical). The returned
 /// solution is feasible and within `(1−ε)³` of the optimum.
+///
+/// Each commodity's demand cap is a virtual edge into its source with
+/// capacity `demand` and its own length. The searches run on the real
+/// graph: the source starts at the virtual edge's length `ℓ`, exactly the
+/// distance (`0.0 + ℓ == ℓ`) a search from a virtual source node would
+/// assign it.
 pub fn max_multicommodity_flow(
     net: &FlowNetwork,
     commodities: &[Commodity],
@@ -144,26 +234,21 @@ pub fn max_multicommodity_flow(
         assert!(c.demand >= 0.0, "negative demand");
     }
     let k = commodities.len();
-    let n = net.n_nodes() + k; // + virtual sources
-    // Extended edge list: original edges then one virtual edge per commodity.
-    let mut edges: Vec<(usize, usize)> = net.edges().iter().map(|e| (e.from, e.to)).collect();
-    let mut caps: Vec<f64> = net.edges().iter().map(|e| e.capacity).collect();
-    for (i, c) in commodities.iter().enumerate() {
-        edges.push((net.n_nodes() + i, c.source));
-        caps.push(c.demand);
-    }
-    let m_edges = edges.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &(u, _)) in edges.iter().enumerate() {
-        if caps[i] > EPS {
-            adj[u].push(i);
-        }
-    }
+    let m_real = net.n_edges();
+    let caps: Vec<f64> = net.edges().iter().map(|e| e.capacity).collect();
 
-    let m = m_edges.max(2) as f64;
+    // `m` counts the virtual edges too.
+    let m = (m_real + k).max(2) as f64;
     let delta = (1.0 + epsilon) * ((1.0 + epsilon) * m).powf(-1.0 / epsilon);
-    let mut length: Vec<f64> = caps.iter().map(|&c| if c > EPS { delta / c } else { f64::INFINITY }).collect();
-    let mut raw_flow: Vec<Vec<f64>> = vec![vec![0.0; m_edges]; k];
+    let initial_length = |c: f64| if c > EPS { delta / c } else { f64::INFINITY };
+    let mut length: Vec<f64> = caps.iter().map(|&c| initial_length(c)).collect();
+    let mut virtual_length: Vec<f64> =
+        commodities.iter().map(|c| initial_length(c.demand)).collect();
+    // Raw real-edge flow, commodity-major (`k × m_real`), and the flow on
+    // each commodity's virtual edge.
+    let mut raw_flow = vec![0.0; k * m_real];
+    let mut virtual_flow = vec![0.0; k];
+    let mut search = Searcher::new(net);
 
     // Phase loop: while some commodity still has a path shorter than 1.
     loop {
@@ -172,26 +257,23 @@ pub fn max_multicommodity_flow(
             if c.demand <= EPS {
                 continue;
             }
-            loop {
-                let vsrc = net.n_nodes() + ki;
-                let (dist, parent) = shortest_path_by_length(n, &adj, &edges, &length, vsrc);
-                if !dist[c.sink].is_finite() || dist[c.sink] >= 1.0 {
-                    break;
-                }
+            let flow = &mut raw_flow[ki * m_real..(ki + 1) * m_real];
+            while search
+                .shortest_path(c.source, c.sink, virtual_length[ki], 1.0, |ei| Some(length[ei]))
+            {
                 any = true;
-                // Walk the path, find bottleneck.
-                let mut path = Vec::new();
-                let mut v = c.sink;
-                while v != vsrc {
-                    let ei = parent[v].expect("path incomplete");
-                    path.push(ei);
-                    v = edges[ei].0;
-                }
-                let bottleneck = path.iter().map(|&ei| caps[ei]).fold(f64::INFINITY, f64::min);
-                for &ei in &path {
-                    raw_flow[ki][ei] += bottleneck;
+                let bottleneck = search
+                    .path
+                    .iter()
+                    .map(|&ei| caps[ei])
+                    .fold(f64::INFINITY, f64::min)
+                    .min(c.demand);
+                for &ei in &search.path {
+                    flow[ei] += bottleneck;
                     length[ei] *= 1.0 + epsilon * bottleneck / caps[ei];
                 }
+                virtual_flow[ki] += bottleneck;
+                virtual_length[ki] *= 1.0 + epsilon * bottleneck / c.demand;
             }
         }
         if !any {
@@ -204,13 +286,18 @@ pub fn max_multicommodity_flow(
     // overload so the result is always exactly feasible (the analytic bound
     // is loose by a capacity-dependent constant on small graphs).
     let mut scale = ((1.0 / delta).ln() / (1.0 + epsilon).ln()).max(1.0);
-    for ei in 0..m_edges {
-        if caps[ei] > EPS {
-            let total: f64 = raw_flow.iter().map(|per| per[ei]).sum();
-            scale = scale.max(total / caps[ei]);
+    for (ei, &cap) in caps.iter().enumerate() {
+        if cap > EPS {
+            let total: f64 = (0..k).map(|ki| raw_flow[ki * m_real + ei]).sum();
+            scale = scale.max(total / cap);
         }
     }
-    let mut edge_flows = vec![vec![0.0; net.n_edges()]; k];
+    for (c, &v) in commodities.iter().zip(&virtual_flow) {
+        if c.demand > EPS {
+            scale = scale.max(v / c.demand);
+        }
+    }
+    let mut edge_flows = vec![vec![0.0; m_real]; k];
     let mut routed = vec![0.0; k];
     for ki in 0..k {
         // Every unit of commodity ki crosses its virtual edge, so the
@@ -218,14 +305,11 @@ pub fn max_multicommodity_flow(
         // above the demand cap, shrink the whole commodity uniformly —
         // clipping only the total would leave phantom flow occupying
         // capacity on real edges.
-        let v = raw_flow[ki][net.n_edges() + ki] / scale;
-        let shrink = if v > commodities[ki].demand && v > EPS {
-            commodities[ki].demand / v
-        } else {
-            1.0
-        };
-        for ei in 0..net.n_edges() {
-            edge_flows[ki][ei] = raw_flow[ki][ei] / scale * shrink;
+        let v = virtual_flow[ki] / scale;
+        let shrink =
+            if v > commodities[ki].demand && v > EPS { commodities[ki].demand / v } else { 1.0 };
+        for ei in 0..m_real {
+            edge_flows[ki][ei] = raw_flow[ki * m_real + ei] / scale * shrink;
         }
         routed[ki] = v * shrink;
     }
@@ -234,46 +318,13 @@ pub fn max_multicommodity_flow(
     // most edges; greedily fill it with still-unsatisfied demand. This
     // recovers most of the FPTAS scaling loss at negligible cost and never
     // violates feasibility.
-    let n_real = net.n_nodes();
-    let real_edges: Vec<(usize, usize)> = net.edges().iter().map(|e| (e.from, e.to)).collect();
-    let mut residual: Vec<f64> = (0..net.n_edges())
+    let mut residual: Vec<f64> = (0..m_real)
         .map(|ei| {
             let used: f64 = edge_flows.iter().map(|per| per[ei]).sum();
-            (net.edge(ei).capacity - used).max(0.0)
+            (caps[ei] - used).max(0.0)
         })
         .collect();
-    let mut real_adj: Vec<Vec<usize>> = vec![Vec::new(); n_real];
-    for (i, &(u, _)) in real_edges.iter().enumerate() {
-        real_adj[u].push(i);
-    }
-    for (ki, c) in commodities.iter().enumerate() {
-        let mut remaining = c.demand - routed[ki];
-        while remaining > EPS {
-            let lengths: Vec<f64> = residual
-                .iter()
-                .map(|&r| if r > EPS { 1.0 } else { f64::INFINITY })
-                .collect();
-            let (dist, parent) =
-                shortest_path_by_length(n_real, &real_adj, &real_edges, &lengths, c.source);
-            if !dist[c.sink].is_finite() {
-                break;
-            }
-            let mut path = Vec::new();
-            let mut v = c.sink;
-            while v != c.source {
-                let ei = parent[v].expect("path incomplete");
-                path.push(ei);
-                v = real_edges[ei].0;
-            }
-            let push = path.iter().map(|&ei| residual[ei]).fold(remaining, f64::min);
-            for &ei in &path {
-                residual[ei] -= push;
-                edge_flows[ki][ei] += push;
-            }
-            routed[ki] += push;
-            remaining -= push;
-        }
-    }
+    search.water_fill(commodities, &mut residual, &mut edge_flows, &mut routed);
 
     let total = routed.iter().sum();
     let gk = McfResult { routed, edge_flows, total };
@@ -297,46 +348,10 @@ pub fn max_multicommodity_flow(
 /// shortest residual paths (hop-count metric) until satisfied or
 /// disconnected.
 pub fn greedy_mcf(net: &FlowNetwork, commodities: &[Commodity]) -> McfResult {
-    let n = net.n_nodes();
-    let edges: Vec<(usize, usize)> = net.edges().iter().map(|e| (e.from, e.to)).collect();
     let mut residual: Vec<f64> = net.edges().iter().map(|e| e.capacity).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &(u, _)) in edges.iter().enumerate() {
-        adj[u].push(i);
-    }
     let mut edge_flows = vec![vec![0.0; net.n_edges()]; commodities.len()];
     let mut routed = vec![0.0; commodities.len()];
-    for (ki, c) in commodities.iter().enumerate() {
-        let mut remaining = c.demand;
-        while remaining > EPS {
-            // Hop-count shortest path among edges with residual capacity.
-            let lengths: Vec<f64> = residual
-                .iter()
-                .map(|&r| if r > EPS { 1.0 } else { f64::INFINITY })
-                .collect();
-            let (dist, parent) = shortest_path_by_length(n, &adj, &edges, &lengths, c.source);
-            if !dist[c.sink].is_finite() {
-                break;
-            }
-            let mut path = Vec::new();
-            let mut v = c.sink;
-            while v != c.source {
-                let ei = parent[v].expect("path incomplete");
-                path.push(ei);
-                v = edges[ei].0;
-            }
-            let bottleneck = path
-                .iter()
-                .map(|&ei| residual[ei])
-                .fold(remaining, f64::min);
-            for &ei in &path {
-                residual[ei] -= bottleneck;
-                edge_flows[ki][ei] += bottleneck;
-            }
-            routed[ki] += bottleneck;
-            remaining -= bottleneck;
-        }
-    }
+    Searcher::new(net).water_fill(commodities, &mut residual, &mut edge_flows, &mut routed);
     let total = routed.iter().sum();
     McfResult { routed, edge_flows, total }
 }

@@ -36,6 +36,14 @@ impl TeAlgorithm for SwanTe {
     }
 
     fn try_solve(&self, problem: &TeProblem) -> Result<TeSolution, TeError> {
+        // Written so that NaN fails the test too.
+        let epsilon_valid = self.epsilon > 0.0 && self.epsilon < 1.0;
+        if !epsilon_valid {
+            return Err(TeError::InvalidConfig {
+                algorithm: self.name(),
+                detail: format!("epsilon must lie in (0,1), got {}", self.epsilon),
+            });
+        }
         if !(0.0..1.0).contains(&self.scratch_fraction) {
             return Err(TeError::InvalidConfig {
                 algorithm: self.name(),
@@ -95,10 +103,9 @@ mod tests {
     use rwc_util::units::Gbps;
 
     fn contended_problem() -> TeProblem {
-        // A 3-node line: both demands fight over the single B–C link.
+        // A 3-node ring of 100 G links (R0-R1, R1-R2, R2-R0): both demands
+        // fight over the direct R0-R1 link and the detour via R2.
         let wan = builders::ring(3, 400.0);
-        let mut wan = wan;
-        // Use ring(3): nodes R0,R1,R2, links R0-R1, R1-R2, R2-R0.
         let r0 = wan.node_by_name("R0").unwrap();
         let r1 = wan.node_by_name("R1").unwrap();
         let mut dm = DemandMatrix::new();
@@ -106,8 +113,20 @@ mod tests {
         // capacity (direct 100 + detour 100) = 200 total.
         dm.add(r0, r1, Gbps(150.0), Priority::Interactive);
         dm.add(r0, r1, Gbps(150.0), Priority::Background);
-        let _ = &mut wan;
         TeProblem::from_wan(&wan, &dm)
+    }
+
+    #[test]
+    fn out_of_range_epsilon_is_invalid_config() {
+        let p = contended_problem();
+        for epsilon in [0.0, 1.0, 1.5, f64::NAN] {
+            let swan = SwanTe { epsilon, scratch_fraction: 0.0 };
+            let outcome = swan.try_solve(&p);
+            assert!(
+                matches!(outcome, Err(TeError::InvalidConfig { algorithm: "swan", .. })),
+                "epsilon {epsilon} accepted"
+            );
+        }
     }
 
     #[test]
